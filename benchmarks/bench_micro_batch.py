@@ -37,6 +37,8 @@ import os
 import sys
 import time
 
+from repro.campaign.session import Session
+from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BLOCK,
@@ -44,7 +46,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     RunConfig,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 #: Fault-dependent configs benchmarked: the plain block-disabling row and
 #: the 6T victim-cache row (the paper's densest fault-dependent machinery).
@@ -87,14 +88,14 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _run_point(runner, config, trace, warmup, map_count, width):
+def _run_point(session, config, trace, warmup, map_count, width):
     """One campaign point at the given lane width; returns (seconds, results)."""
     indices = list(range(map_count))
     results = []
     start = time.perf_counter()
     for begin in range(0, map_count, width):
         chunk = indices[begin : begin + width]
-        pipelines = [runner.build_pipeline(config, m) for m in chunk]
+        pipelines = [session.build_pipeline(config, m) for m in chunk]
         if width == 1:
             results.append(pipelines[0].run(trace, measure_from=warmup))
         else:
@@ -126,9 +127,6 @@ def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
     the padded slot axis must merge all six lanes into ONE vectorised
     pass group, bit-identical to the six sequential runs."""
-    from repro.campaign.session import Session
-    from repro.campaign.spec import CampaignSpec
-
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     settings = RunnerSettings(
         n_instructions=instructions,
@@ -136,9 +134,9 @@ def _run_hetero(args, instructions, warmup) -> dict:
         n_fault_maps=2,
         benchmarks=(args.benchmark,),
     )
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
+    sequential = Session(settings, lanes=1, mega_batch=False)
     reference = {
-        (config.label, m): sequential.run(args.benchmark, config, m)
+        (config.label, m): sequential.simulate(args.benchmark, config, m)
         for config in configs
         for m in range(2)
     }
@@ -188,14 +186,14 @@ def run_bench(args) -> dict:
         n_fault_maps=maps,
         benchmarks=(args.benchmark,),
     )
-    runner = ExperimentRunner(settings)
-    trace = runner.trace(args.benchmark)
+    session = Session(settings)
+    trace = session.trace(args.benchmark)
     total = len(trace) * maps
 
     configs: dict[str, dict] = {}
     divergences = 0
     for config in BENCH_CONFIGS:
-        runner.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
+        session.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
         # Repetitions interleave the widths so per-repetition speedup
         # ratios are robust against machine-load drift; the reported
         # speedup is the median ratio, the KIPS the best run.
@@ -204,7 +202,7 @@ def run_bench(args) -> dict:
         for _ in range(repeats):
             for width in widths:
                 elapsed, results = _run_point(
-                    runner, config, trace, warmup, maps, width
+                    session, config, trace, warmup, maps, width
                 )
                 times[width].append(elapsed)
                 outputs[width] = results

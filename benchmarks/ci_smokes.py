@@ -7,10 +7,10 @@ identical gate on a laptop, and adds the mega-batch equivalence smoke (a
 multi-point campaign plan must scatter back bit-identical results with
 strictly fewer schedule passes than campaign points, and the CLI's
 figures must be byte-identical with ``--mega-batch`` and
-``--no-mega-batch``) plus the campaign smoke: the declarative
-``Session.run(spec)`` path and the legacy ``ExperimentRunner`` path must
-produce byte-identical figure JSON, and dedup re-runs must execute zero
-schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
+``--no-mega-batch``) plus the campaign smoke: the ``Session.run(spec)``
+path must reproduce the committed fig8 figure-JSON golden byte for
+byte, and dedup re-runs must execute zero schedule passes.  The
+``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one vectorised pass and
 stay bit-identical both with the C kernel and on the NumPy fallback,
 and the vectorised schedule compiler must match the reference replay.
@@ -44,6 +44,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 BENCHES = os.path.join(ROOT, "benchmarks")
+#: fig8 figure JSON of the ``campaign`` smoke's settings (3k+1k
+#: instructions, 2 maps, gzip), committed as a behaviour golden.
+CAMPAIGN_GOLDEN = os.path.join(
+    ROOT, "tests", "integration", "golden_fig8_campaign.json"
+)
 for path in (SRC, BENCHES):  # one-command local use without PYTHONPATH=src
     if path not in sys.path:
         sys.path.insert(0, path)
@@ -212,7 +217,8 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         LV_INCREMENTAL,
         LV_WORD,
     )
-    from repro.experiments.runner import ExperimentRunner, RunnerSettings
+    from repro.campaign.session import Session
+    from repro.campaign.spec import RunnerSettings
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -223,9 +229,9 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     configs = (LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL)
     points = len(settings.benchmarks) * len(configs)
 
-    mega = ExperimentRunner(settings)
-    executed = mega.run_mega(configs)
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
+    mega = Session(settings)
+    executed = mega.run_all(mega.spec(configs)).pending
+    sequential = Session(settings, lanes=1, mega_batch=False)
 
     divergences = 0
     compared = 0
@@ -235,7 +241,9 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         )
         for m in indices:
             compared += 1
-            if mega.run("gzip", config, m) != sequential.run("gzip", config, m):
+            if mega.simulate("gzip", config, m) != sequential.simulate(
+                "gzip", config, m
+            ):
                 divergences += 1
 
     failures: list[str] = []
@@ -290,21 +298,19 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
 
 
 def smoke_campaign(json_dir: str) -> list[str]:
-    """Campaign API v2 equivalence.
+    """Campaign API equivalence.
 
-    The new ``Session.run(spec)`` streaming path and the legacy
-    ``ExperimentRunner`` path must produce byte-identical figure JSON
-    for every performance figure they share, and a dedup re-run of an
-    already-stored campaign must resolve to an empty plan and execute
-    zero schedule passes.  The CLI's ``--dry-run`` must simulate
-    nothing.
+    fig8 streamed through ``Session.run(spec)`` must reproduce the
+    committed figure-JSON golden (``CAMPAIGN_GOLDEN``) byte for byte,
+    and a dedup re-run of an already-stored campaign must resolve to an
+    empty plan and execute zero schedule passes.  The CLI's
+    ``--dry-run`` must simulate nothing.
     """
     import dataclasses
 
     from repro.campaign.session import Session
     from repro.campaign.spec import RunnerSettings
     from repro.experiments.figures import fig8_data, figure_spec
-    from repro.experiments.runner import ExperimentRunner
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -318,16 +324,17 @@ def smoke_campaign(json_dir: str) -> list[str]:
 
     failures: list[str] = []
 
-    legacy = ExperimentRunner(settings)
-    legacy_json = figure_json(fig8_data(legacy))
+    with open(CAMPAIGN_GOLDEN, encoding="utf-8") as handle:
+        golden_json = handle.read().rstrip("\n")
 
     session = Session(settings)
     session_json = figure_json(fig8_data(session))
-    if session_json != legacy_json:
+    if session_json != golden_json:
         failures.append(
-            "Session and legacy ExperimentRunner figure JSON differ:\n"
+            "Session figure JSON differs from the committed golden "
+            f"{os.path.relpath(CAMPAIGN_GOLDEN, ROOT)}:\n"
             + "\n".join(
-                difflib.unified_diff([legacy_json], [session_json], lineterm="")
+                difflib.unified_diff([golden_json], [session_json], lineterm="")
             )
         )
 
@@ -358,8 +365,7 @@ def smoke_campaign(json_dir: str) -> list[str]:
         json_dir,
         "campaign",
         {
-            "figure_json_identical": session_json == legacy_json,
-            "legacy_schedule_passes": legacy.schedule_passes,
+            "figure_json_identical": session_json == golden_json,
             "session_schedule_passes": passes_before,
             "rerun_pending": rerun_plan.pending,
             "rerun_schedule_passes": rerun_passes,
@@ -386,10 +392,9 @@ def smoke_kernel(json_dir: str) -> list[str]:
     import numpy as np
 
     from repro.campaign.session import Session
-    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
-    from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -400,9 +405,10 @@ def smoke_kernel(json_dir: str) -> list[str]:
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     items = [(config, m) for config in configs for m in range(2)]
 
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
+    sequential = Session(settings, lanes=1, mega_batch=False)
     reference = {
-        (config.label, m): sequential.run("gzip", config, m) for config, m in items
+        (config.label, m): sequential.simulate("gzip", config, m)
+        for config, m in items
     }
 
     def hetero_pass() -> dict:

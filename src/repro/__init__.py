@@ -22,8 +22,8 @@ The package implements, from scratch, everything the paper builds on:
 
 Quickstart::
 
-    from repro import ExperimentRunner, fig8_data
-    print(fig8_data(ExperimentRunner()).to_text())
+    from repro import Session, fig8_data
+    print(fig8_data(Session()).to_text())
 """
 
 from repro.analysis import (
@@ -60,8 +60,8 @@ from repro.cpu import (
     SimResult,
     Trace,
 )
-from repro.campaign import CampaignSpec, Session
-from repro.experiments import ExperimentRunner, FigureResult, RunnerSettings
+from repro.campaign import CampaignSpec, RunnerSettings, Session
+from repro.experiments import FigureResult
 from repro.experiments.figures import (
     fig1_data,
     fig3_data,
@@ -143,7 +143,6 @@ __all__ = [
     "OverheadModel",
     "CampaignSpec",
     "Session",
-    "ExperimentRunner",
     "RunnerSettings",
     "FigureResult",
     "fig1_data",

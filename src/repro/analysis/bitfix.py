@@ -26,8 +26,8 @@ much higher pfail before its cliff, at the price of repair logic latency.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis import binomial
 from repro.faults.geometry import CacheGeometry
 
 
@@ -49,7 +49,7 @@ def block_unrepairable_probability(
         raise ValueError(f"pairs_tolerated must be >= 0, got {pairs_tolerated}")
     n_pairs = data_bits // 2
     p_broken = pair_fault_probability(pfail)
-    return float(stats.binom.sf(pairs_tolerated, n_pairs, p_broken))
+    return float(binomial.sf(pairs_tolerated, n_pairs, p_broken))
 
 
 def whole_cache_failure_probability(

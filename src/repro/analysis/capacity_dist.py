@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis import binomial
 from repro.faults.geometry import CacheGeometry
 
 
@@ -58,7 +58,7 @@ class CapacityDistribution:
     def pmf(self) -> np.ndarray:
         """Equation 3 over all ``x`` in ``0..d`` (length ``d + 1``)."""
         x = np.arange(self.d + 1)
-        return stats.binom.pmf(x, self.d, self.p_block_ok)
+        return binomial.pmf(x, self.d, self.p_block_ok)
 
     def capacity_fractions(self) -> np.ndarray:
         """x-axis companion to :meth:`pmf`: ``x / d``."""
@@ -90,7 +90,7 @@ class CapacityDistribution:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         threshold = int(math.floor(fraction * self.d))
         # P[X > threshold] = survival function at threshold.
-        return float(stats.binom.sf(threshold, self.d, self.p_block_ok))
+        return float(binomial.sf(threshold, self.d, self.p_block_ok))
 
     def prob_capacity_at_most(self, fraction: float) -> float:
         return 1.0 - self.prob_capacity_above(fraction)
@@ -99,7 +99,7 @@ class CapacityDistribution:
         """Capacity fraction at quantile ``q`` (e.g. worst-case planning)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        blocks = float(stats.binom.ppf(q, self.d, self.p_block_ok))
+        blocks = float(binomial.ppf(q, self.d, self.p_block_ok))
         return blocks / self.d
 
     def normal_approximation(self) -> tuple[float, float]:

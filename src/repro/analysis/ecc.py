@@ -24,8 +24,8 @@ collapses — matching the paper's qualitative argument.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis import binomial
 from repro.faults.geometry import CacheGeometry
 
 
@@ -47,7 +47,7 @@ def word_survival_probability(pfail: float, word_bits: int = 32) -> float:
         raise ValueError(f"pfail must be a probability, got {pfail!r}")
     total_bits = word_bits + secded_check_bits(word_bits)
     # P[X <= 1], X ~ Binomial(total_bits, pfail).
-    return float(stats.binom.cdf(1, total_bits, pfail))
+    return float(binomial.cdf(1, total_bits, pfail))
 
 
 def block_survival_probability(

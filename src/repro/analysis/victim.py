@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+from repro.analysis import binomial
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class VictimCacheFaultAnalysis:
     def usable_entries_pmf(self) -> np.ndarray:
         """PMF over the number of usable entries, index 0..entries."""
         x = np.arange(self.entries + 1)
-        return stats.binom.pmf(x, self.entries, 1.0 - self.entry_fault_probability)
+        return binomial.pmf(x, self.entries, 1.0 - self.entry_fault_probability)
 
     def prob_usable_at_least(self, count: int) -> float:
         """P[usable entries >= count] — e.g. how often the conservative
@@ -64,7 +65,7 @@ class VictimCacheFaultAnalysis:
         if not 0 <= count <= self.entries:
             raise ValueError(f"count must be in [0, {self.entries}], got {count}")
         return float(
-            stats.binom.sf(count - 1, self.entries, 1.0 - self.entry_fault_probability)
+            binomial.sf(count - 1, self.entries, 1.0 - self.entry_fault_probability)
         )
 
     def conservative_usable_entries(self, quantile: float = 0.05) -> int:
@@ -74,7 +75,7 @@ class VictimCacheFaultAnalysis:
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
         return int(
-            stats.binom.ppf(
+            binomial.ppf(
                 quantile, self.entries, 1.0 - self.entry_fault_probability
             )
         )

@@ -30,8 +30,8 @@ Tag bits are excluded throughout: word-disabling stores tags in fault-immune
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis import binomial
 from repro.faults.geometry import CacheGeometry
 
 
@@ -65,7 +65,7 @@ def half_block_fail_probability(
         raise ValueError(f"tolerance must be in [0, {a}], got {tolerance}")
     pwf = word_fault_probability(pfail, word_bits)
     # P[X > tolerance] for X ~ Binomial(a, pwf).
-    return float(stats.binom.sf(tolerance, a, pwf))
+    return float(binomial.sf(tolerance, a, pwf))
 
 
 def whole_cache_failure_probability(

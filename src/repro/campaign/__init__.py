@@ -17,9 +17,8 @@ seam:
   :mod:`~repro.campaign.events` with schedule-pass counters through a
   pluggable :class:`~repro.campaign.executors.Executor`.
 
-The legacy :class:`repro.experiments.runner.ExperimentRunner` survives
-as a thin compatibility shim over a Session; both paths are golden-pinned
-bit-identical (``benchmarks/ci_smokes.py campaign``).
+The ``campaign`` smoke (``benchmarks/ci_smokes.py campaign``) pins a
+Session's figure JSON byte-for-byte against a committed golden.
 """
 
 from repro.campaign.events import (

@@ -1,10 +1,6 @@
 """The unified campaign planner: spec + store -> explicit Plan.
 
-Before this layer existed, planning was implemented twice —
-``ExperimentRunner.plan_mega_batches`` for the serial path and
-``repro.experiments.parallel.plan_worker_batches`` for the process pool —
-and each figure/CLI call re-derived its own work list.  :class:`Planner`
-is now the single place campaign work is resolved:
+:class:`Planner` is the single place campaign work is resolved:
 
 1. enumerate every (benchmark, config, map_index) point the
    :class:`~repro.campaign.spec.CampaignSpec` needs,
@@ -152,16 +148,10 @@ class Planner:
     def __init__(self, session: "Session") -> None:
         self.session = session
 
-    def resolve(
-        self, spec: CampaignSpec, mega_batch: "bool | None" = None
-    ) -> Plan:
+    def resolve(self, spec: CampaignSpec) -> Plan:
         """The explicit :class:`Plan` for ``spec`` against the session's
-        store, grouped exactly as the executors will run it.
-        ``mega_batch`` overrides the session's cross-point merging policy
-        (the legacy per-point planning views use ``False``)."""
+        store, grouped exactly as the executors will run it."""
         session = self.session
-        if mega_batch is None:
-            mega_batch = session.mega_batch
         groups: dict[tuple, list[WorkItem]] = {}
         order: list[tuple] = []
         seen_keys: set[str] = set()
@@ -180,7 +170,7 @@ class Planner:
                 dedup += 1
                 continue
             signature = session.batch_signature(config)
-            if mega_batch and signature is not None:
+            if session.mega_batch and signature is not None:
                 # Merged (mega) groups key on (trace, signature) — a
                 # 2-tuple; per-point groups carry their config in a
                 # 3-tuple so they never collide.

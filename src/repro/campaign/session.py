@@ -5,10 +5,9 @@ result store, the persistent trace/schedule caches, the fault-map
 provider — and exposes the whole experiment surface behind two layers:
 
 * **point API** (:meth:`simulate`, :meth:`simulate_maps`,
-  :meth:`run_group`) — the simulation primitives the legacy
-  ``ExperimentRunner`` facade delegates to, bit-identical to the
-  pre-campaign-layer paths and sharing its store-dedup, lane-batching,
-  and mega-batching semantics;
+  :meth:`run_group`) — single points, per-point lane batches and
+  cross-point mega-batches, all through the same store dedup and
+  bit-identical to each other;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,

@@ -2,14 +2,12 @@
 
 The declarative campaign layer lives in :mod:`repro.campaign`
 (``CampaignSpec`` / ``Planner`` / ``Session``); this package keeps the
-figure registries, the Table III configurations, the content-hash task
-keys, and the legacy :class:`ExperimentRunner` facade over it.  The
-persistence layer is :mod:`repro.store` (the old
-``repro.experiments.store`` path survives as a deprecated shim).
+figure registries, the Table III configurations and the content-hash
+task keys.  The persistence layer is :mod:`repro.store`.
 
 Import layering: the campaign layer depends on this package's *leaf*
 modules (``configs``, ``keys``, ``providers``), while ``figures``,
-``runner``, and ``parallel`` depend on the campaign layer.  Only the
+``report``, and the CLI depend on the campaign layer.  Only the
 leaves are imported eagerly here; the campaign-backed names resolve
 lazily on first attribute access (PEP 562), so ``import
 repro.experiments.configs`` from inside :mod:`repro.campaign` never
@@ -39,28 +37,14 @@ from repro.experiments.configs import (
 from repro.experiments.providers import FaultMapProvider, TraceProvider
 from repro.experiments.results import FigureResult
 from repro.experiments.keys import task_key
-from repro.store import (
-    DiskStore,
-    MemoryStore,
-    ResultStore,
-    ShardedDiskStore,
-    SqliteStore,
-    StoreHealth,
-    open_store,
-)
 
 #: Lazily-resolved exports: name -> providing module (everything here
 #: transitively imports repro.campaign, which imports our leaf modules).
 _LAZY = {
     "CampaignSpec": "repro.campaign.spec",
     "Session": "repro.campaign.session",
-    "ExperimentRunner": "repro.experiments.runner",
-    "RunnerSettings": "repro.experiments.runner",
-    "NormalizedSeries": "repro.experiments.runner",
-    "plan_tasks": "repro.experiments.parallel",
-    "pending_tasks": "repro.experiments.parallel",
-    "prefill_cache": "repro.experiments.parallel",
-    "run_studies": "repro.experiments.parallel",
+    "RunnerSettings": "repro.campaign.spec",
+    "NormalizedSeries": "repro.campaign.session",
     "ANALYTICAL_FIGURES": "repro.experiments.figures",
     "PERFORMANCE_FIGURES": "repro.experiments.figures",
     "figure_spec": "repro.experiments.figures",
@@ -97,13 +81,6 @@ __all__ = [
     "HV_BLOCK",
     "HV_BLOCK_V",
     "FigureResult",
-    "ResultStore",
-    "MemoryStore",
-    "DiskStore",
-    "ShardedDiskStore",
-    "SqliteStore",
-    "StoreHealth",
-    "open_store",
     "task_key",
     "TraceProvider",
     "FaultMapProvider",

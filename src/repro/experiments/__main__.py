@@ -50,7 +50,7 @@ from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import CampaignError, RetryPolicy
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
-from repro.experiments.ablation import ABLATION_STUDIES
+from repro.experiments.ablation import ABLATION_STUDIES, run_studies
 from repro.experiments.characterize import characterization_table
 from repro.experiments.figures import (
     ANALYTICAL_FIGURES,
@@ -59,7 +59,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.providers import TRACE_CACHE_ENV
 from repro.experiments.report import REPORT_CONFIGS, reproduction_report
-from repro.experiments.runner import ExperimentRunner
 from repro.store import DiskStore, MemoryStore, ResultStore, open_store
 from repro.workloads.spec2000 import ALL_BENCHMARKS
 
@@ -336,8 +335,8 @@ def _run_main(raw_argv: list[str]) -> int:
 
     trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
     if trace_cache:
-        # Export for child processes (parallel ablation studies build their
-        # own runners from the environment).
+        # Export for child processes, which read the trace cache from the
+        # environment.
         os.environ[TRACE_CACHE_ENV] = trace_cache
 
     # The union campaign every requested performance target needs — one
@@ -438,8 +437,6 @@ def _run_main(raw_argv: list[str]) -> int:
     ablation_targets = [t for t in targets if t in ABLATION_STUDIES]
     ablation_results: dict[str, object] = {}
     if args.workers > 1 and len(ablation_targets) > 1:
-        from repro.experiments.parallel import run_studies
-
         ablation_results = run_studies(
             ablation_targets,
             workers=args.workers,
@@ -500,7 +497,7 @@ def _render_targets(
 ) -> int:
     for target in targets:
         if target == "report":
-            print(reproduction_report(ExperimentRunner.from_session(ready_session())))
+            print(reproduction_report(ready_session()))
             print()
             continue
         if target == "characterize":

@@ -1,10 +1,10 @@
 """Experiment configurations: the rows of Table III as code.
 
 A :class:`RunConfig` names a (scheme, voltage, victim cache) combination.
-The runner resolves it against the Table II/III constants and a fault map
-to build the simulator.  Victim sizing follows Section V: 16 usable entries
-for the 10T victim cache, 8 for the 6T one at low voltage (the conservative
-"half the entries are faulty" assumption).
+A campaign session resolves it against the Table II/III constants and a
+fault map to build the simulator.  Victim sizing follows Section V: 16
+usable entries for the 10T victim cache, 8 for the 6T one at low voltage
+(the conservative "half the entries are faulty" assumption).
 """
 
 from __future__ import annotations

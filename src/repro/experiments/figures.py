@@ -11,12 +11,11 @@ figures are a declarative :class:`~repro.campaign.spec.CampaignSpec`
 (:func:`figure_spec`) plus a *pure post-processing function*: the spec
 is streamed through the campaign :class:`~repro.campaign.session.Session`
 (filling the result store, mega-batched), after which the series are
-computed from pure store hits.  ``session`` accepts a
-:class:`~repro.campaign.session.Session`, a legacy
-:class:`~repro.experiments.runner.ExperimentRunner` (its session is
-used), or ``None`` (a fresh environment-configured session); ``spec``
-overrides the campaign — a spec at a different fidelity runs in a
-derived session over the same store.
+computed from pure store hits.  ``session`` is a
+:class:`~repro.campaign.session.Session` or ``None`` (a fresh
+environment-configured session); ``spec`` overrides the campaign — a
+spec at a different fidelity runs in a derived session over the same
+store.
 """
 
 from __future__ import annotations
@@ -111,22 +110,13 @@ def configs_for_targets(targets) -> tuple:
     return tuple(needed)
 
 
-def _coerce_session(session) -> Session:
-    """Accept a Session, a legacy ExperimentRunner facade, or None."""
-    if session is None:
-        return Session()
-    inner = getattr(session, "session", None)  # ExperimentRunner shim
-    if isinstance(inner, Session):
-        return inner
-    return session
-
-
 def _prepare(session, target: str, spec: CampaignSpec | None):
     """Resolve the figure's campaign and fill the store: stream the spec
     through the session (mega-batched, store-deduped; a re-render is
     pure store hits and zero schedule passes), then hand back the
     session and benchmark scope the post-processing reads from."""
-    session = _coerce_session(session)
+    if session is None:
+        session = Session()
     if spec is None:
         spec = figure_spec(target, session.settings)
     elif dataclasses.replace(

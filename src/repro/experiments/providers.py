@@ -3,10 +3,9 @@
 Both inputs to a simulation are pure functions of
 :class:`~repro.campaign.spec.RunnerSettings` (seeded generators), so
 they are *regenerated*, never shipped between processes or persisted
-alongside results.  These providers own the memoisation that used to live
-inside ``ExperimentRunner``; a campaign
-:class:`~repro.campaign.session.Session` (and the legacy runner facade
-over it) is a thin façade over a :class:`TraceProvider`, a
+alongside results.  These providers own the memoisation; a campaign
+:class:`~repro.campaign.session.Session` is a thin façade over a
+:class:`TraceProvider`, a
 :class:`FaultMapProvider`, and a
 :class:`~repro.store.ResultStore`, opened once per session.
 

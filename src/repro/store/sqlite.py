@@ -15,6 +15,9 @@ duplicate line, and transient ``database is locked`` contention from a
 sibling writer is retried with deterministic exponential backoff on top
 of SQLite's own busy timeout — concurrent campaigns queue instead of
 failing.
+
+One connection serves every thread (the campaign server writes from
+worker threads, not the one that opened the store); a lock serialises it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
 
 from repro.cpu.pipeline import SimResult
@@ -94,6 +98,7 @@ class SqliteStore(MemoryStore):
         self.fsync = fsync
         self.timeout = timeout
         self._conn: "sqlite3.Connection | None" = None
+        self._lock = threading.RLock()
         self.duplicate_lines = 0  # upserts cannot create duplicates
         self.corrupt_records = 0
         self.stale_records = 0
@@ -111,7 +116,9 @@ class SqliteStore(MemoryStore):
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
-            conn = sqlite3.connect(self.db_path, timeout=self.timeout)
+            conn = sqlite3.connect(
+                self.db_path, timeout=self.timeout, check_same_thread=False
+            )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
             conn.execute(
@@ -132,9 +139,10 @@ class SqliteStore(MemoryStore):
                 self.write_retries += 1
                 time.sleep(delay)
             try:
-                conn = self._connection()
-                conn.execute(sql, params)
-                conn.commit()
+                with self._lock:
+                    conn = self._connection()
+                    conn.execute(sql, params)
+                    conn.commit()
                 return
             except sqlite3.OperationalError as exc:
                 if not _is_locked(exc):
@@ -145,15 +153,11 @@ class SqliteStore(MemoryStore):
     # ----- loading --------------------------------------------------------------
 
     def _load(self) -> None:
-        conn = self._connection()
-        try:
-            rows = conn.execute(
-                "SELECT key, payload, schema, sha FROM results ORDER BY rowid"
-            ).fetchall()
-        except sqlite3.DatabaseError:
-            # The main db file itself is unreadable; surface loudly —
-            # there is nothing to serve and nothing safe to write.
-            raise
+        # An unreadable main db file raises sqlite3.DatabaseError here:
+        # there is nothing to serve and nothing safe to write.
+        rows = self._connection().execute(
+            "SELECT key, payload, schema, sha FROM results ORDER BY rowid"
+        ).fetchall()
         for key, payload_text, schema, sha in rows:
             try:
                 payload = json.loads(payload_text)
@@ -219,7 +223,9 @@ class SqliteStore(MemoryStore):
     # ----- lifecycle ------------------------------------------------------------
 
     def flush(self) -> None:
-        if self._conn is not None:
+        with self._lock:
+            if self._conn is None:
+                return
             self._conn.commit()
             if self.fsync:
                 try:
@@ -228,10 +234,11 @@ class SqliteStore(MemoryStore):
                     pass  # checkpoint contention is harmless; WAL persists
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
+        with self._lock:
+            if self._conn is not None:
+                self._conn.commit()
+                self._conn.close()
+                self._conn = None
 
     def compact(self) -> int:
         """Delete unreadable rows (their keys were recorded at load),

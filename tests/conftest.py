@@ -8,6 +8,12 @@ import pytest
 from repro.faults import PAPER_L1_GEOMETRY, CacheGeometry, FaultMap
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a longer simulation test (still part of tier-1)"
+    )
+
+
 @pytest.fixture
 def paper_geometry() -> CacheGeometry:
     """The paper's 32KB 8-way 64B-block running example (d=512, k=537)."""

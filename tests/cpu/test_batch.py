@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.session import Session
+from repro.campaign.spec import RunnerSettings
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     HV_BASELINE,
@@ -21,7 +23,6 @@ from repro.experiments.configs import (
     LV_INCREMENTAL,
     LV_WORD,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=4_000,
@@ -33,21 +34,21 @@ WARMUP = SETTINGS.warmup_instructions
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(SETTINGS)
+def session() -> Session:
+    return Session(SETTINGS)
 
 
-def _sequential(runner, config, indices, benchmark="gzip"):
-    trace = runner.trace(benchmark)
+def _sequential(session, config, indices, benchmark="gzip"):
+    trace = session.trace(benchmark)
     return [
-        runner.build_pipeline(config, m).run(trace, measure_from=WARMUP)
+        session.build_pipeline(config, m).run(trace, measure_from=WARMUP)
         for m in indices
     ]
 
 
-def _batched(runner, config, indices, benchmark="gzip", **kwargs):
-    trace = runner.trace(benchmark)
-    pipelines = [runner.build_pipeline(config, m) for m in indices]
+def _batched(session, config, indices, benchmark="gzip", **kwargs):
+    trace = session.trace(benchmark)
+    pipelines = [session.build_pipeline(config, m) for m in indices]
     return OutOfOrderPipeline.run_batch(
         pipelines, trace, measure_from=WARMUP, **kwargs
     )
@@ -56,54 +57,54 @@ def _batched(runner, config, indices, benchmark="gzip", **kwargs):
 @pytest.mark.parametrize(
     "config", [LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10, LV_INCREMENTAL]
 )
-def test_lanes_match_sequential_runs(runner, config):
+def test_lanes_match_sequential_runs(session, config):
     indices = range(SETTINGS.n_fault_maps)
-    assert _batched(runner, config, indices) == _sequential(
-        runner, config, indices
+    assert _batched(session, config, indices) == _sequential(
+        session, config, indices
     )
 
 
-def test_single_lane_forced_through_vector_path(runner):
+def test_single_lane_forced_through_vector_path(session):
     """min_lanes=1 pushes even a singleton batch down the vectorised
     path (the default falls back for tiny batches)."""
-    expected = _sequential(runner, LV_BLOCK, [2])
-    assert _batched(runner, LV_BLOCK, [2], min_lanes=1) == expected
+    expected = _sequential(session, LV_BLOCK, [2])
+    assert _batched(session, LV_BLOCK, [2], min_lanes=1) == expected
 
 
-def test_mixed_victim_sizes_batch_vectorised(runner):
+def test_mixed_victim_sizes_batch_vectorised(session):
     """Lanes with different victim sizings (0/8/16 entries) pad to one
     slot axis and batch as a single vectorised group — bit-identical to
     their sequential runs."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BLOCK, 0),
-        runner.build_pipeline(LV_BLOCK_V6, 0),
-        runner.build_pipeline(LV_BLOCK_V6, 1),
-        runner.build_pipeline(LV_BLOCK_V10, 0),
-        runner.build_pipeline(LV_BLOCK_V10, 1),
+        session.build_pipeline(LV_BLOCK, 0),
+        session.build_pipeline(LV_BLOCK_V6, 0),
+        session.build_pipeline(LV_BLOCK_V6, 1),
+        session.build_pipeline(LV_BLOCK_V10, 0),
+        session.build_pipeline(LV_BLOCK_V10, 1),
     ]
     assert OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BLOCK, [0])[0]
-    assert results[1:3] == _sequential(runner, LV_BLOCK_V6, [0, 1])
-    assert results[3:] == _sequential(runner, LV_BLOCK_V10, [0, 1])
+    assert results[0] == _sequential(session, LV_BLOCK, [0])[0]
+    assert results[1:3] == _sequential(session, LV_BLOCK_V6, [0, 1])
+    assert results[3:] == _sequential(session, LV_BLOCK_V10, [0, 1])
 
 
-def test_mixed_latencies_fall_back(runner):
+def test_mixed_latencies_fall_back(session):
     """Word-disabling's +1-cycle L1 makes its lanes latency-incompatible
     with the baseline; the batch must fall back, not mis-share state."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BASELINE, None),
-        runner.build_pipeline(LV_WORD, None),
+        session.build_pipeline(LV_BASELINE, None),
+        session.build_pipeline(LV_WORD, None),
     ]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BASELINE, [None])[0]
-    assert results[1] == _sequential(runner, LV_WORD, [None])[0]
+    assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
+    assert results[1] == _sequential(session, LV_WORD, [None])[0]
 
 
-def test_fault_disabled_l2_falls_back(runner):
+def test_fault_disabled_l2_falls_back(session):
     """The bulk L2 refill has no fill-bypass port, so hierarchies with a
     fault-disabled L2 must take the sequential fallback and still match
     per-lane runs exactly."""
@@ -113,7 +114,7 @@ def test_fault_disabled_l2_falls_back(runner):
     from repro.cache.set_assoc import SetAssociativeCache
     from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
 
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
 
     def build():
         rng = np.random.default_rng(3)
@@ -124,7 +125,7 @@ def test_fault_disabled_l2_falls_back(runner):
             SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2"),
             LOW_VOLTAGE.latencies(),
         )
-        return OutOfOrderPipeline(runner.pipeline_config, hierarchy)
+        return OutOfOrderPipeline(session.pipeline_config, hierarchy)
 
     pipelines = [build(), build()]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
@@ -133,11 +134,11 @@ def test_fault_disabled_l2_falls_back(runner):
     assert results[0] == results[1]
 
 
-def test_reused_pipeline_falls_back(runner):
-    trace = runner.trace("gzip")
-    warm = runner.build_pipeline(LV_BLOCK, 0)
+def test_reused_pipeline_falls_back(session):
+    trace = session.trace("gzip")
+    warm = session.build_pipeline(LV_BLOCK, 0)
     warm.run(trace, measure_from=WARMUP)
-    fresh = runner.build_pipeline(LV_BLOCK, 1)
+    fresh = session.build_pipeline(LV_BLOCK, 1)
     assert not OutOfOrderPipeline._can_run_batch([warm, fresh])
 
 
@@ -145,63 +146,63 @@ def test_empty_batch():
     assert OutOfOrderPipeline.run_batch([], None) == []
 
 
-def test_measure_from_zero_and_validation(runner):
-    trace = runner.trace("applu")
-    pipelines = [runner.build_pipeline(LV_BLOCK, m) for m in range(2)]
+def test_measure_from_zero_and_validation(session):
+    trace = session.trace("applu")
+    pipelines = [session.build_pipeline(LV_BLOCK, m) for m in range(2)]
     cold = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     expected = [
-        runner.build_pipeline(LV_BLOCK, m).run(trace, measure_from=0)
+        session.build_pipeline(LV_BLOCK, m).run(trace, measure_from=0)
         for m in range(2)
     ]
     assert cold == expected
     with pytest.raises(ValueError):
         OutOfOrderPipeline._run_lanes(
-            [runner.build_pipeline(LV_BLOCK, m) for m in range(2)],
+            [session.build_pipeline(LV_BLOCK, m) for m in range(2)],
             trace,
             len(trace),
         )
 
 
-def test_mixed_scheme_lanes_batch_vectorised(runner):
+def test_mixed_scheme_lanes_batch_vectorised(session):
     """Lanes need not share a configuration: the fault-free baseline and
     block-disabling fault maps carry equal batch keys (same latencies,
     geometries, victim sizing), so the mega planner may drive them as
     one vectorised pass — bit-identical to their sequential runs."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BASELINE, None),
-        runner.build_pipeline(LV_BLOCK, 0),
-        runner.build_pipeline(LV_BLOCK, 1),
+        session.build_pipeline(LV_BASELINE, None),
+        session.build_pipeline(LV_BLOCK, 0),
+        session.build_pipeline(LV_BLOCK, 1),
     ]
     assert pipelines[0].batch_key() == pipelines[1].batch_key() is not None
     assert OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BASELINE, [None])[0]
-    assert results[1:] == _sequential(runner, LV_BLOCK, [0, 1])
+    assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
+    assert results[1:] == _sequential(session, LV_BLOCK, [0, 1])
 
 
-def test_reused_pipeline_has_no_batch_key(runner):
-    warm = runner.build_pipeline(LV_BLOCK, 0)
+def test_reused_pipeline_has_no_batch_key(session):
+    warm = session.build_pipeline(LV_BLOCK, 0)
     assert warm.batch_key() is not None
-    warm.run(runner.trace("gzip"), measure_from=WARMUP)
+    warm.run(session.trace("gzip"), measure_from=WARMUP)
     assert warm.batch_key() is None
 
 
-def test_high_voltage_lanes(runner):
+def test_high_voltage_lanes(session):
     """Fault-free lanes (identical contents) batch too — the degenerate
     but common normalisation-baseline case."""
-    expected = _sequential(runner, HV_BASELINE, [None, None], benchmark="applu")
+    expected = _sequential(session, HV_BASELINE, [None, None], benchmark="applu")
     assert (
-        _batched(runner, HV_BASELINE, [None, None], benchmark="applu")
+        _batched(session, HV_BASELINE, [None, None], benchmark="applu")
         == expected
     )
 
 
-def test_partially_warm_victim_cache_appends_before_evicting(runner):
+def test_partially_warm_victim_cache_appends_before_evicting(session):
     """A pre-filled victim cache must behave like the sequential list:
     inserts land in empty slots first (append semantics), never evicting
     warm entries while capacity remains."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
 
     def prefill(pipeline):
         # Seed both victim caches with blocks the trace will not touch
@@ -212,10 +213,10 @@ def test_partially_warm_victim_cache_appends_before_evicting(runner):
 
     expected = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V10, m)
+        p = session.build_pipeline(LV_BLOCK_V10, m)
         prefill(p)
         expected.append(p.run(trace, measure_from=WARMUP))
-    pipelines = [runner.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
+    pipelines = [session.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
     for p in pipelines:
         prefill(p)
     assert OutOfOrderPipeline._can_run_batch(pipelines)
@@ -225,18 +226,18 @@ def test_partially_warm_victim_cache_appends_before_evicting(runner):
         assert p.hierarchy.stats().snapshot() == q.hierarchy_stats
 
 
-def test_batched_state_supports_warm_reuse(runner):
+def test_batched_state_supports_warm_reuse(session):
     """After a batched run, each lane's hierarchy must behave exactly as
     if it had been run sequentially: a second (warm, generic-loop) run
     over the same hierarchies stays bit-identical."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     reference = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V6, m)
+        p = session.build_pipeline(LV_BLOCK_V6, m)
         reference.append(
             (p.run(trace, measure_from=WARMUP), p.run(trace, measure_from=WARMUP))
         )
-    pipelines = [runner.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
+    pipelines = [session.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
     first = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
     for m, p in enumerate(pipelines):
         assert first[m] == reference[m][0]

@@ -15,6 +15,8 @@ import subprocess
 
 import pytest
 
+from repro.campaign.session import Session
+from repro.campaign.spec import RunnerSettings
 from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
@@ -23,7 +25,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_INCREMENTAL,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=4_000,
@@ -39,13 +40,13 @@ kernel_available = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(SETTINGS)
+def session() -> Session:
+    return Session(SETTINGS)
 
 
-def _run_batch(runner, config, indices, benchmark="gzip"):
-    trace = runner.trace(benchmark)
-    pipelines = [runner.build_pipeline(config, m) for m in indices]
+def _run_batch(session, config, indices, benchmark="gzip"):
+    trace = session.trace(benchmark)
+    pipelines = [session.build_pipeline(config, m) for m in indices]
     results = OutOfOrderPipeline.run_batch(
         pipelines, trace, measure_from=WARMUP, min_lanes=1
     )
@@ -72,35 +73,35 @@ class TestKernelVsFallback:
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL]
     )
-    def test_results_bit_identical(self, runner, config, monkeypatch):
+    def test_results_bit_identical(self, session, config, monkeypatch):
         indices = range(SETTINGS.n_fault_maps)
-        with_kernel, _ = _run_batch(runner, config, indices)
+        with_kernel, _ = _run_batch(session, config, indices)
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
-        without, _ = _run_batch(runner, config, indices)
+        without, _ = _run_batch(session, config, indices)
         assert with_kernel == without
 
-    def test_hierarchy_state_writeback_matches(self, runner, monkeypatch):
+    def test_hierarchy_state_writeback_matches(self, session, monkeypatch):
         """Both paths must leave identical cache statistics behind on
         every lane's hierarchy (the post-batch warm-reuse contract)."""
         indices = range(SETTINGS.n_fault_maps)
-        _, with_kernel = _run_batch(runner, LV_BLOCK, indices)
+        _, with_kernel = _run_batch(session, LV_BLOCK, indices)
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        _, without = _run_batch(runner, LV_BLOCK, indices)
+        _, without = _run_batch(session, LV_BLOCK, indices)
         for pk, pn in zip(with_kernel, without):
             assert pk.hierarchy.stats() == pn.hierarchy.stats()
 
-    def test_padded_heterogeneous_victims(self, runner, monkeypatch):
+    def test_padded_heterogeneous_victims(self, session, monkeypatch):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
         axis through the kernel's D-miss resume protocol."""
-        trace = runner.trace("gzip")
+        trace = session.trace("gzip")
 
         def build():
             return [
-                runner.build_pipeline(LV_BLOCK, 0),
-                runner.build_pipeline(LV_BLOCK_V6, 0),
-                runner.build_pipeline(LV_BLOCK_V10, 0),
-                runner.build_pipeline(LV_BLOCK_V10, 1),
+                session.build_pipeline(LV_BLOCK, 0),
+                session.build_pipeline(LV_BLOCK_V6, 0),
+                session.build_pipeline(LV_BLOCK_V10, 0),
+                session.build_pipeline(LV_BLOCK_V10, 1),
             ]
 
         with_kernel = OutOfOrderPipeline.run_batch(

@@ -16,11 +16,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.session import Session
+from repro.campaign.spec import RunnerSettings
 from repro.cpu.isa import NO_REGISTER, InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -29,7 +30,7 @@ SETTINGS = RunnerSettings(
     benchmarks=("gzip",),
 )
 
-RUNNER = ExperimentRunner(SETTINGS)
+SESSION = Session(SETTINGS)
 
 #: (config, map_index) lanes mixing victim sizings (0/8/16 entries) so
 #: every example also exercises the padded victim slot axis.
@@ -76,10 +77,10 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
     trace = random_trace(seed, n)
     measure_from = int(n * warm_frac)
     sequential = [
-        RUNNER.build_pipeline(config, m).run(trace, measure_from=measure_from)
+        SESSION.build_pipeline(config, m).run(trace, measure_from=measure_from)
         for config, m in LANE_ITEMS
     ]
-    pipelines = [RUNNER.build_pipeline(config, m) for config, m in LANE_ITEMS]
+    pipelines = [SESSION.build_pipeline(config, m) for config, m in LANE_ITEMS]
     batched = OutOfOrderPipeline.run_batch(
         pipelines, trace, measure_from=measure_from, min_lanes=1
     )
@@ -92,7 +93,7 @@ def test_same_map_lanes_agree_on_random_traces(seed):
     """Identical lanes through one batch must produce identical results
     (catches any cross-lane state bleed in the fused kernels)."""
     trace = random_trace(seed, 400)
-    pipelines = [RUNNER.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
+    pipelines = [SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
     results = OutOfOrderPipeline.run_batch(
         pipelines, trace, measure_from=0, min_lanes=1
     )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import sys
+import threading
 import warnings
 
 import pytest
@@ -244,6 +246,38 @@ class TestSqlite:
         with open_backend("sqlite", tmp_path) as reopened:
             assert reopened.health().stale == 1
             assert reopened.get(pairs[0][0]) is None
+
+    def test_threads_share_one_store(self, tmp_path):
+        """Writers on threads other than the opener's (the campaign
+        server's shape) all land: none raises, none is lost."""
+        store = SqliteStore(tmp_path)
+        errors: list[BaseException] = []
+
+        def writer(offset: int) -> None:
+            try:
+                for i in range(offset, offset + 25):
+                    store.put(make_key(i), make_result(i))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(25 * t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert errors == []
+        with open_backend("sqlite", tmp_path) as reopened:
+            assert len(reopened) == 100
+            assert reopened.get(make_key(63)) == make_result(63)
 
     def test_busy_database_retries_then_raises(self, tmp_path):
         with open_backend("sqlite", tmp_path) as store:
