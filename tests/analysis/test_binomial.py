@@ -58,7 +58,7 @@ def test_table_covers_every_function_and_edge():
 
 
 @pytest.mark.parametrize("fn", ["pmf", "cdf", "sf"])
-def test_matches_scipy_table(fn):
+def test_matches_pinned_table(fn):
     mismatches = []
     for name, k, n, p, expected in ROWS:
         if name != fn:
@@ -69,7 +69,7 @@ def test_matches_scipy_table(fn):
     assert not mismatches
 
 
-def test_ppf_matches_scipy_table_exactly():
+def test_ppf_matches_pinned_table_exactly():
     mismatches = [
         (q, n, p, binomial.ppf(q, n, p), expected)
         for name, q, n, p, expected in ROWS
