@@ -12,9 +12,8 @@ per-map path) and each requested width.  Reported per lane width:
 
 Per config the bench also reports ``break_even_lanes`` — the
 interpolated lane count where a batched pass first matches sequential
-wall-clock (with the compiled lane kernel this sits near 3; the
-``MIN_BATCH_LANES`` default in ``repro.campaign.session`` cites it) —
-and a ``hetero`` section demonstrating that a ``--maps 2`` campaign
+wall-clock (with the compiled lane kernel this sits near 3) — and a
+``hetero`` section demonstrating that a ``--maps 2`` campaign
 over mixed victim sizings (0/8/16 entries) pads to one slot axis and
 merges into a *single* vectorised pass group.
 
@@ -134,7 +133,7 @@ def _run_hetero(args, instructions, warmup) -> dict:
         n_fault_maps=2,
         benchmarks=(args.benchmark,),
     )
-    sequential = Session(settings, lanes=1, mega_batch=False)
+    sequential = Session(settings)
     reference = {
         (config.label, m): sequential.simulate(args.benchmark, config, m)
         for config in configs

@@ -6,19 +6,20 @@ this driver checks them in so ``python benchmarks/ci_smokes.py`` runs the
 identical gate on a laptop, and adds the mega-batch equivalence smoke (a
 multi-point campaign plan must scatter back bit-identical results with
 strictly fewer schedule passes than campaign points, and the CLI's
-figures must be byte-identical with ``--mega-batch`` and
-``--no-mega-batch``) plus the campaign smoke: the ``Session.run(spec)``
-path must reproduce the committed fig8 figure-JSON golden byte for
-byte, and dedup re-runs must execute zero schedule passes.  The
+mega-batched figures must be byte-identical to figures read from a store
+filled by one sequential ``Session.simulate`` per work item) plus the
+campaign smoke: the ``Session.run(spec)`` path must reproduce the
+committed fig8 figure-JSON golden byte for byte, and dedup re-runs must
+execute zero schedule passes.  The
 ``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one vectorised pass and
 stay bit-identical both with the C kernel and on the NumPy fallback,
 and the vectorised schedule compiler must match the reference replay.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
-injection is SIGKILLed mid-write, resumed to byte-identical figures,
-then repaired and verified clean, and the jsonl → sqlite → jsonl
-migration round-trip must be lossless.
+injection is SIGKILLed mid-write (no process of it may survive), resumed
+to byte-identical figures, then repaired and verified clean, and the
+jsonl → sqlite → jsonl migration round-trip must be lossless.
 
 Each smoke writes ``<name>-smoke.json`` into ``--json-dir`` (default:
 current directory) — the workflow uploads them as per-commit artifacts so
@@ -207,9 +208,14 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     the shape that used to pay one schedule pass per point — must come
     back bit-identical to the sequential per-point path
     (``divergences == 0``) while executing strictly fewer schedule
-    passes than campaign points.  CLI: figure output must be
-    byte-identical with and without ``--mega-batch``.
+    passes than campaign points.  CLI: the mega-batched figure output
+    must be byte-identical to a run over a store filled by one
+    sequential ``Session.simulate`` per work item, and that run must
+    execute no simulation.
     """
+    from repro.experiments.__main__ import _build_parser, _settings_from_args
+    from repro.experiments.figures import configs_for_targets
+    from repro.store import open_store
     from repro.experiments.configs import (
         LV_BASELINE,
         LV_BLOCK,
@@ -218,7 +224,7 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         LV_WORD,
     )
     from repro.campaign.session import Session
-    from repro.campaign.spec import RunnerSettings
+    from repro.campaign.spec import CampaignSpec, RunnerSettings
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -231,7 +237,7 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
 
     mega = Session(settings)
     executed = mega.run_all(mega.spec(configs)).pending
-    sequential = Session(settings, lanes=1, mega_batch=False)
+    sequential = Session(settings)
 
     divergences = 0
     compared = 0
@@ -263,23 +269,47 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         )
 
     cli_identical = True
-    with tempfile.TemporaryDirectory() as traces:
-        shared = _STORE_ARGS + ["--no-store", "--trace-cache", traces]
-        with_mega = _cli(shared + ["--mega-batch"])
-        without = _cli(shared + ["--no-mega-batch"])
-        for name, proc in (("mega", with_mega), ("no-mega", without)):
+    cli_pure_hits = True
+    with (
+        tempfile.TemporaryDirectory() as traces,
+        tempfile.TemporaryDirectory() as store_dir,
+    ):
+        shared = _STORE_ARGS + ["--trace-cache", traces]
+        with_mega = _cli(shared + ["--no-store"])
+        # The sequential arm: one Session.simulate per work item of the
+        # same CLI targets fills a store the CLI then renders from.
+        args = _build_parser().parse_args(_STORE_ARGS)
+        cli_settings = _settings_from_args(args)
+        spec = CampaignSpec.from_settings(
+            cli_settings, configs_for_targets(args.targets)
+        )
+        store = open_store(store_dir)
+        with Session(cli_settings, store=store, trace_cache=traces) as filler:
+            for benchmark, config, m in spec.work_items():
+                filler.simulate(benchmark, config, m)
+        store.close()
+        from_store = _cli(shared + ["--store", store_dir])
+        for name, proc in (("mega", with_mega), ("sequential-store", from_store)):
             if proc.returncode != 0:
                 failures.append(f"CLI {name} run exited {proc.returncode}: {proc.stderr}")
-        if with_mega.stdout != without.stdout:
+        if with_mega.stdout != from_store.stdout:
             cli_identical = False
             diff = "\n".join(
                 difflib.unified_diff(
-                    without.stdout.splitlines(),
+                    from_store.stdout.splitlines(),
                     with_mega.stdout.splitlines(),
                     lineterm="",
                 )
             )
-            failures.append(f"--mega-batch figures differ from --no-mega-batch:\n{diff}")
+            failures.append(
+                f"mega-batched figures differ from the sequential store's:\n{diff}"
+            )
+        if "simulations executed=0" not in from_store.stderr:
+            cli_pure_hits = False
+            failures.append(
+                "CLI run over the sequential store simulated:\n"
+                + from_store.stderr.strip()
+            )
 
     _write(
         json_dir,
@@ -291,6 +321,7 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
             "schedule_passes_mega": mega.schedule_passes,
             "schedule_passes_sequential": sequential.schedule_passes,
             "cli_byte_identical": cli_identical,
+            "cli_sequential_store_pure_hits": cli_pure_hits,
             "ok": not failures,
         },
     )
@@ -405,7 +436,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     items = [(config, m) for config in configs for m in range(2)]
 
-    sequential = Session(settings, lanes=1, mega_batch=False)
+    sequential = Session(settings)
     reference = {
         (config.label, m): sequential.simulate("gzip", config, m)
         for config, m in items
@@ -590,12 +621,59 @@ def smoke_chaos(json_dir: str) -> list[str]:
     return failures
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of process group ``pgid`` that are still running (zombies
+    awaiting a reaper do not count)."""
+    if not os.path.isdir("/proc"):  # non-Linux: any member at all
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(os.path.join("/proc", entry, "stat"), encoding="utf-8") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited mid-scan
+        # "pid (comm) state ppid pgrp ..." — comm may contain spaces.
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
+
+
+def _group_survivors(pgid: int, timeout: float) -> list[int]:
+    """Wait up to ``timeout`` seconds for every process of group
+    ``pgid`` to exit; SIGKILL and return whatever is still running."""
+    import signal
+    import time
+
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = _live_group_members(pgid)
+        if not alive or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    if alive:
+        try:
+            os.killpg(pgid, signal.SIGKILL)  # leave nothing behind
+        except ProcessLookupError:
+            pass
+    return alive
+
+
 def smoke_store_chaos(json_dir: str) -> list[str]:
     """Crash-consistent storage gate, per backend.
 
     For each disk backend (jsonl / sharded / sqlite): a pool campaign
-    checkpointing under I/O fault injection is SIGKILLed as soon as its
-    store file materialises; a chaos-free resume against the survivor
+    checkpointing under I/O fault injection is SIGKILLed — parent and
+    pool workers, as one process group — as soon as its store file
+    materialises, and no process of that group may outlive a bounded
+    wait; a chaos-free resume against the survivor
     directory must regenerate figures byte-identical to a storeless
     reference run; ``store repair`` then ``store verify`` must leave
     zero undetected-corrupt records.  Finally the repaired jsonl store
@@ -648,6 +726,9 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                 env=chaos_env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
+                # Its own process group, so one killpg reaches the pool
+                # workers too.
+                start_new_session=True,
             )
             # Kill mid-write: the moment record bytes hit the store the
             # campaign is inside its checkpoint path.  A campaign that
@@ -655,11 +736,17 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
             deadline = time.monotonic() + 60.0
             while victim.poll() is None and time.monotonic() < deadline:
                 if probe(directory):
-                    victim.send_signal(signal.SIGKILL)
+                    os.killpg(victim.pid, signal.SIGKILL)
                     break
                 time.sleep(0.02)
             victim.wait(timeout=60.0)
             killed = victim.returncode == -signal.SIGKILL
+            survivors = _group_survivors(victim.pid, timeout=10.0)
+            if survivors:
+                failures.append(
+                    f"{backend}: {len(survivors)} process(es) of the killed "
+                    f"campaign still running after 10 s: {survivors}"
+                )
 
             resume = _cli(_STORE_ARGS + persist)
             if resume.returncode != 0:
@@ -689,6 +776,7 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                                 f"\n{verify.stdout}{verify.stderr}")
             summary["backends"][backend] = {
                 "killed_mid_write": killed,
+                "survivors": len(survivors),
                 "resume_byte_identical": identical,
                 "repair_rc": repair.returncode,
                 "verify_rc": verify.returncode,

@@ -42,12 +42,7 @@ from repro.campaign.executors import (
 )
 from repro.campaign.plan import Plan, PlanGroup, Planner, Task, WorkItem
 from repro.campaign.resilience import CampaignError, Quarantined, RetryPolicy
-from repro.campaign.session import (
-    MIN_BATCH_LANES,
-    MIN_MEGA_LANES,
-    NormalizedSeries,
-    Session,
-)
+from repro.campaign.session import NormalizedSeries, Session
 from repro.campaign.spec import (
     CampaignSpec,
     RunnerSettings,
@@ -67,8 +62,6 @@ __all__ = [
     "WorkItem",
     "Session",
     "NormalizedSeries",
-    "MIN_BATCH_LANES",
-    "MIN_MEGA_LANES",
     "Event",
     "PlanReady",
     "PointResult",

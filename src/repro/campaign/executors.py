@@ -6,12 +6,12 @@ session's store, keeps the session's simulation/schedule-pass counters
 truthful, and yields :class:`~repro.campaign.events.PointResult` /
 :class:`~repro.campaign.events.Progress` as work lands.  Both built-in
 executors consume the *same* plan objects from the unified planner —
-the pool merely ships ``Plan.worker_batches`` slices to workers — so
-serial and parallel campaigns are bit-identical by construction.  The
-:class:`~repro.service.distributed.DistributedExecutor` subclasses the
-pool executor at the ``_land_chunk``/``_drain_complete`` seams: its
-workers checkpoint into per-worker store partitions and the results
-merge into the session store when the pool drains.
+the pool merely ships each plan group to a worker as one dispatch
+batch — so serial and parallel campaigns are bit-identical by
+construction.  The :class:`~repro.service.distributed.DistributedExecutor`
+subclasses the pool executor at the ``_land_chunk``/``_drain_complete``
+seams: its workers checkpoint into per-worker store partitions and the
+results merge into the session store when the pool drains.
 
 The pool executor is *resilient*: failures are handled per
 :class:`~repro.campaign.resilience.RetryPolicy` — failed chunks retry
@@ -128,8 +128,6 @@ def _worker_init(
     settings,
     pipeline_config,
     trace_cache: "str | None" = None,
-    lanes: "int | None" = None,
-    mega_batch: bool = True,
     chaos_epoch: int = 0,
 ) -> None:
     global _WORKER_SESSION
@@ -143,19 +141,16 @@ def _worker_init(
         settings,
         pipeline_config=pipeline_config,
         trace_cache=trace_cache,
-        lanes=lanes,
-        mega_batch=mega_batch,
     )
 
 
 def run_batch_locally(
     session: "Session", batch: list[Task]
 ) -> list[tuple[Task, SimResult]]:
-    """Run one dispatch batch through a session (worker or parent).
-
-    Mega-batching sessions take the trace-group path — the batch may mix
-    configurations and fault-independent lanes; otherwise the batch is a
-    same-point group dispatched through the per-point lane batch.
+    """Run one dispatch batch — a plan group's tasks, all on one
+    benchmark trace, possibly mixing configurations and
+    fault-independent lanes — through a session (worker or parent) as
+    one :meth:`~repro.campaign.session.Session.run_group` mega-batch.
 
     This is the fault-injection seam: when ``REPRO_CHAOS`` is armed,
     every task consults the deterministic chaos schedule before the
@@ -164,16 +159,9 @@ def run_batch_locally(
     if chaos.config_from_env() is not None:
         for task in batch:
             chaos.maybe_inject(session.task_key(*task))
-    benchmark, config, first_index = batch[0]
-    if session.mega_batch:
-        items = [(config, map_index) for (_, config, map_index) in batch]
-        results = session.run_group(benchmark, items)
-        return list(zip(batch, results))
-    if first_index is None:
-        return [(batch[0], session.simulate(benchmark, config, None))]
-    indices = [task[2] for task in batch]
-    results = session.simulate_maps(benchmark, config, indices)
-    return list(zip(batch, results))
+    benchmark = batch[0][0]
+    items = [(config, map_index) for (_, config, map_index) in batch]
+    return list(zip(batch, session.run_group(benchmark, items)))
 
 
 #: Cumulative per-worker counters: (traces generated, loaded, discarded,
@@ -261,8 +249,7 @@ class PoolExecutor(Executor):
     """Streaming, fault-tolerant process-pool execution for paper-scale
     campaigns.
 
-    The plan's groups are sliced into worker dispatch units
-    (:meth:`Plan.worker_batches`) and fanned across a
+    Each plan group is one worker dispatch batch, fanned across a
     :class:`ProcessPoolExecutor`; results are checkpointed to the
     parent's store as each chunk completes — not after the pool drains —
     so a killed paper-scale run against a ``DiskStore`` resumes from its
@@ -304,11 +291,6 @@ class PoolExecutor(Executor):
                 session.settings,
                 session.pipeline_config,
                 session.traces.cache_dir,
-                # Workers inherit the explicit lane width so a narrow
-                # lanes=N request still batches inside the pool, and the
-                # mega flag so trace-group payloads take the group path.
-                session.lanes,
-                session.mega_batch,
                 epoch,
             ),
         )
@@ -406,7 +388,7 @@ class PoolExecutor(Executor):
     # ----- the drain loop -------------------------------------------------------
 
     def run(self, session: "Session", plan: Plan) -> Iterator[Event]:
-        batches = plan.worker_batches(session.lanes)
+        batches = [[item.task for item in group.items] for group in plan.groups]
         total = plan.pending
         if total == 0:
             return

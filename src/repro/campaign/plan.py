@@ -8,13 +8,12 @@
    result store (*dedup holes* — a resumed campaign plans only its
    missing lanes),
 3. group the remainder into :class:`PlanGroup`\\ s keyed by
-   ``(trace, batch signature)`` — cross-point mega-batches when the
-   session mega-batches, per-point groups otherwise.
+   ``(trace, batch signature)`` — cross-point mega-batches.
 
 The resulting :class:`Plan` is a frozen value consumed *identically* by
-the serial and process-pool executors (``Plan.worker_batches`` slices
-the same groups into pool dispatch units), rendered by the CLI's
-``--dry-run``, and asserted on by tests.
+the serial and process-pool executors (the pool ships each group to a
+worker as one dispatch unit), rendered by the CLI's ``--dry-run``, and
+asserted on by tests.
 """
 
 from __future__ import annotations
@@ -54,10 +53,8 @@ class PlanGroup:
 
     ``merged`` groups are cross-point mega-batches — every lane shares
     one non-``None`` batch ``signature`` and is driven through a single
-    vectorised schedule pass (``MIN_MEGA_LANES`` floor).  Unmerged
-    groups hold the lanes of one campaign point (or one unvectorisable
-    configuration) and execute through the per-point lane-batch path
-    with its ``MIN_BATCH_LANES`` crossover.
+    schedule pass.  The unmerged group (``signature`` ``None``) holds a
+    trace's unvectorisable lanes, which run sequentially, one pass each.
     """
 
     benchmark: str
@@ -97,20 +94,6 @@ class Plan:
         """Simulations the plan will actually execute."""
         return sum(len(group) for group in self.groups)
 
-    def worker_batches(self, lanes: int | None = None) -> list[list[Task]]:
-        """The plan's groups as process-pool dispatch units: each group
-        sliced to an explicit ``lanes`` width (whole groups otherwise),
-        as ``(benchmark, config, map_index)`` task lists.  Serial and
-        pool executors therefore consume the *same* plan objects — the
-        pool merely ships each slice to a worker."""
-        batches: list[list[Task]] = []
-        for group in self.groups:
-            tasks = [item.task for item in group.items]
-            step = lanes or len(tasks)
-            for start in range(0, len(tasks), step):
-                batches.append(tasks[start : start + step])
-        return batches
-
     def describe(self) -> str:
         """Multi-line human rendering (the CLI's ``--dry-run`` output)."""
         lines = [self.spec.describe()]
@@ -140,10 +123,9 @@ class Planner:
     """Resolves :class:`CampaignSpec`\\ s against a session's result store.
 
     The planner borrows the session's key/signature caches (content-hash
-    task keys, per-config batch signatures) and its ``mega_batch`` /
-    grouping policy, but never simulates: resolving a plan costs a store
-    lookup per work item plus one representative pipeline build per new
-    configuration."""
+    task keys, per-config batch signatures) but never simulates:
+    resolving a plan costs a store lookup per work item plus one
+    representative pipeline build per new configuration."""
 
     def __init__(self, session: "Session") -> None:
         self.session = session
@@ -169,36 +151,20 @@ class Planner:
             if key in session.store:
                 dedup += 1
                 continue
-            signature = session.batch_signature(config)
-            if session.mega_batch and signature is not None:
-                # Merged (mega) groups key on (trace, signature) — a
-                # 2-tuple; per-point groups carry their config in a
-                # 3-tuple so they never collide.
-                group_key = (benchmark, signature)
-            else:
-                group_key = (benchmark, None, config)
+            group_key = (benchmark, session.batch_signature(config))
             if group_key not in groups:
                 groups[group_key] = []
                 order.append(group_key)
             groups[group_key].append(WorkItem(benchmark, config, m, key))
-        plan_groups = []
-        for key in order:
-            items = tuple(groups[key])
-            merged = len(key) == 2
-            plan_groups.append(
-                PlanGroup(
-                    benchmark=key[0],
-                    merged=merged,
-                    items=items,
-                    # Unmerged groups are single-config; their signature
-                    # still decides whether the per-point path can take
-                    # the vectorised engine.
-                    signature=key[1] if merged else session.batch_signature(
-                        items[0].config
-                    ),
-                )
+        plan_groups = tuple(
+            PlanGroup(
+                benchmark=benchmark,
+                merged=signature is not None,
+                items=tuple(groups[benchmark, signature]),
+                signature=signature,
             )
-        plan_groups = tuple(plan_groups)
+            for benchmark, signature in order
+        )
         return Plan(
             spec=spec,
             groups=plan_groups,
@@ -209,30 +175,9 @@ class Planner:
             ),
         )
 
-    def _group_passes(self, group: PlanGroup) -> int:
-        """Schedule passes executing ``group`` will cost, mirroring the
-        executors' accounting (``Session.execute_group``)."""
-        lanes = self.session.lanes
-        min_mega = self.session.min_mega_lanes
-        min_batch = self.session.min_batch_lanes
-        n = len(group)
-        if group.merged:
-            width = lanes or n
-            passes = 0
-            for start in range(0, n, width):
-                chunk = min(width, n - start)
-                passes += chunk if chunk < min_mega else 1
-            return passes
-        if group.items[0].map_index is None:
-            return 1  # fault-independent singleton
-        if group.signature is None:
-            return n  # engine's transparent sequential fallback
-        width = lanes or n
-        passes = 0
-        for start in range(0, n, width):
-            chunk = min(width, n - start)
-            if width == 1 or chunk == 1 or (lanes is None and chunk < min_batch):
-                passes += chunk
-            else:
-                passes += 1
-        return passes
+    @staticmethod
+    def _group_passes(group: PlanGroup) -> int:
+        """Schedule passes executing ``group`` will cost, mirroring
+        ``Session.run_group``: one per mega-batch, one per lane of the
+        sequential group."""
+        return len(group) if group.signature is None else 1

@@ -5,9 +5,9 @@ result store, the persistent trace/schedule caches, the fault-map
 provider — and exposes the whole experiment surface behind two layers:
 
 * **point API** (:meth:`simulate`, :meth:`simulate_maps`,
-  :meth:`run_group`) — single points, per-point lane batches and
-  cross-point mega-batches, all through the same store dedup and
-  bit-identical to each other;
+  :meth:`run_group`) — single sequential points and cross-point
+  mega-batches, all through the same store dedup and bit-identical to
+  each other;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,
@@ -57,37 +57,10 @@ from repro.campaign.events import (
 )
 from repro.campaign.plan import Plan, PlanGroup, Planner, WorkItem
 from repro.campaign.resilience import CampaignError, Quarantined
-from repro.campaign.spec import CampaignSpec, RunnerSettings, adopt_execution
+from repro.campaign.spec import CampaignSpec, RunnerSettings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.executors import Executor
-
-
-#: Below this many lanes a batched pass loses to per-map runs.  With the
-#: compiled lane kernel (``repro.cpu.lane_kernel``) fusing the per-op
-#: dispatch, a vectorised pass costs ~2.5-3x one scalar schedule walk
-#: regardless of width, so the crossover sits near 3 lanes
-#: (``benchmarks/bench_micro_batch.py`` reports ``break_even_lanes``;
-#: the ``kernel`` CI smoke re-measures it into ``kernel-smoke.json``).
-#: 4 keeps a
-#: small margin for kernel-less hosts' NumPy fallback.  Applied only
-#: when no explicit lane width was requested — an explicit ``lanes >=
-#: 2`` always batches — and results are bit-identical either way.
-#: Override per campaign with ``RunnerSettings(min_batch_lanes=...)``,
-#: ``--min-batch-lanes``, or ``REPRO_MIN_BATCH_LANES``.
-MIN_BATCH_LANES = 4
-
-#: Minimum merged width at which a *mega* group takes the vectorised
-#: path.  Deliberately below ``MIN_BATCH_LANES``: mega-batching's
-#: contract is the schedule-pass *floor* (one pass per trace-group,
-#: strictly fewer passes than campaign points; the CI mega smoke pins
-#: it), so two-lane merged groups batch even on kernel-less hosts where
-#: that trades a little quick-fidelity wall-clock for the floor.
-#: ``lanes=1`` or ``mega_batch=False`` restore the per-point crossover
-#: behaviour; singletons always run sequentially.  Override with
-#: ``RunnerSettings(min_mega_lanes=...)``, ``--min-mega-lanes``, or
-#: ``REPRO_MIN_MEGA_LANES``.
-MIN_MEGA_LANES = 2
 
 
 @dataclass(frozen=True)
@@ -114,9 +87,9 @@ class Session:
     """One campaign context: store + input providers + counters + planner.
 
     Opens the result store, trace/schedule caches, and fault-map
-    provider once; every experiment — a lazy single point, a per-point
-    lane batch, or a declarative spec streamed through :meth:`run` —
-    reads and writes through the same handles and the same dedup keys.
+    provider once; every experiment — a lazy single point, a mega-batch,
+    or a declarative spec streamed through :meth:`run` — reads and
+    writes through the same handles and the same dedup keys.
     """
 
     def __init__(
@@ -125,8 +98,6 @@ class Session:
         pipeline_config: PipelineConfig = PAPER_PIPELINE,
         store: ResultStore | None = None,
         trace_cache: str | None = None,
-        lanes: int | None = None,
-        mega_batch: bool = True,
     ) -> None:
         self.settings = settings or RunnerSettings.from_env()
         self.pipeline_config = pipeline_config
@@ -154,17 +125,6 @@ class Session:
             and not isinstance(self.store, _chaos.ChaosStore)
         ):
             self.store = _chaos.ChaosStore(self.store, _chaos_config)
-        #: Fault-map lanes simulated per batched pipeline pass: ``None``
-        #: (default) batches every pending map of a campaign point into
-        #: one :meth:`OutOfOrderPipeline.run_batch` call; ``1`` keeps the
-        #: legacy one-map-per-run path.
-        if lanes is not None and lanes < 1:
-            raise ValueError("lanes must be positive")
-        self.lanes = lanes
-        #: Whether the planner may merge pending lanes *across* campaign
-        #: points into cross-point mega-batches.  Off, every point pays
-        #: its own schedule pass; results are bit-identical either way.
-        self.mega_batch = mega_batch
         #: Batch signature per RunConfig (memoised — building the
         #: representative pipeline is cheap but not free).
         self._signature_cache: dict[RunConfig, "tuple | None"] = {}
@@ -189,24 +149,6 @@ class Session:
         #: results around a failure are always durable in the store.
         self.failures: list[Quarantined] = []
         self._closed = False
-
-    # ----- batching crossovers --------------------------------------------------
-
-    @property
-    def min_batch_lanes(self) -> int:
-        """Effective per-point batching crossover: the settings override
-        when given, else the measured module default (resolved at use so
-        tests may patch :data:`MIN_BATCH_LANES`)."""
-        if self.settings.min_batch_lanes is not None:
-            return self.settings.min_batch_lanes
-        return MIN_BATCH_LANES
-
-    @property
-    def min_mega_lanes(self) -> int:
-        """Effective merged-group crossover (see :attr:`min_batch_lanes`)."""
-        if self.settings.min_mega_lanes is not None:
-            return self.settings.min_mega_lanes
-        return MIN_MEGA_LANES
 
     # ----- remote sessions ------------------------------------------------------
 
@@ -337,13 +279,11 @@ class Session:
         map_indices: "list[int] | range | None" = None,
     ) -> list[SimResult]:
         """Simulate many fault-map lanes of one (benchmark, config) point
-        in a single schedule pass (:meth:`OutOfOrderPipeline.run_batch`).
+        as one :meth:`run_group` mega-batch.
 
         ``map_indices`` defaults to every map of the campaign
         (``range(n_fault_maps)``).  Lanes already in the store are never
-        re-simulated; the rest are dispatched in batches of
-        :attr:`lanes` maps (all pending maps by default) and checkpointed
-        batch-by-batch.  Results return in ``map_indices`` order,
+        re-simulated.  Results return in ``map_indices`` order,
         bit-identical to per-map :meth:`simulate` calls.
         Fault-independent configurations collapse to the single
         :meth:`simulate` point.
@@ -352,37 +292,7 @@ class Session:
             return [self.simulate(benchmark, config)]
         if map_indices is None:
             map_indices = range(self.settings.n_fault_maps)
-        map_indices = list(map_indices)
-        results: dict[int, SimResult] = {}
-        pending: list[int] = []
-        for m in map_indices:
-            cached = self.store.get(self.task_key(benchmark, config, m))
-            if cached is not None:
-                results[m] = cached
-            elif m not in results and m not in pending:
-                pending.append(m)
-        width = self.lanes or len(pending) or 1
-        warmup = self.settings.warmup_instructions
-        for start in range(0, len(pending), width):
-            chunk = pending[start : start + width]
-            too_narrow = self.lanes is None and len(chunk) < self.min_batch_lanes
-            if width == 1 or len(chunk) == 1 or too_narrow:
-                for m in chunk:
-                    results[m] = self.simulate(benchmark, config, m)
-                continue
-            pipelines = [self.build_pipeline(config, m) for m in chunk]
-            if OutOfOrderPipeline._can_run_batch(pipelines):
-                self.schedule_passes += 1
-            else:  # run_batch's transparent sequential fallback
-                self.schedule_passes += len(chunk)
-            outs = OutOfOrderPipeline.run_batch(
-                pipelines, self.trace(benchmark), measure_from=warmup
-            )
-            for m, result in zip(chunk, outs):
-                self.store.put(self.task_key(benchmark, config, m), result)
-                self.simulations_executed += 1
-                results[m] = result
-        return [results[m] for m in map_indices]
+        return self.run_group(benchmark, [(config, m) for m in map_indices])
 
     # ----- mega-batching: cross-point lane groups -------------------------------
 
@@ -411,18 +321,12 @@ class Session:
         sub-grouped by :meth:`batch_signature` — a heterogeneous item
         list (say a word-disabling lane among block-disabling ones)
         splits into compatible sub-batches instead of tripping the
-        engine's sequential fallback — sliced to :attr:`lanes` width,
-        driven through :meth:`OutOfOrderPipeline.run_batch`, and
-        scattered back to the store under their own per-point keys.
-        Results return in ``items`` order, bit-identical to per-point
-        :meth:`simulate` calls.
-
-        Unlike the per-point :meth:`simulate_maps` crossover
-        (``MIN_BATCH_LANES``), merged groups batch from
-        ``MIN_MEGA_LANES`` lanes up — the schedule-pass floor is the
-        contract, wall-clock breaks even near ~10 merged lanes (see the
-        ``MIN_MEGA_LANES`` note).  An explicit ``lanes=1`` still forces
-        the legacy per-map path.
+        engine's sequential fallback.  Each non-``None`` sub-batch costs
+        one schedule pass through :meth:`OutOfOrderPipeline.run_batch`
+        (a single lane runs sequentially there); ``None``-signature lanes
+        run one :meth:`simulate` each.  Results scatter back to the
+        store under their own per-point keys and return in ``items``
+        order, bit-identical to per-point :meth:`simulate` calls.
         """
         results: dict[str, SimResult | None] = {}
         subgroups: dict["tuple | None", list] = {}
@@ -447,43 +351,30 @@ class Session:
         warmup = self.settings.warmup_instructions
         for signature in sub_order:
             pending = subgroups[signature]
-            width = self.lanes or len(pending)
-            for start in range(0, len(pending), width):
-                chunk = pending[start : start + width]
-                if signature is None or len(chunk) < self.min_mega_lanes:
-                    for config, m, key in chunk:
-                        results[key] = self.simulate(benchmark, config, m)
-                    continue
-                pipelines = [self.build_pipeline(c, m) for c, m, _ in chunk]
-                self.schedule_passes += 1
-                outs = OutOfOrderPipeline.run_batch(
-                    pipelines, self.trace(benchmark), measure_from=warmup
-                )
-                for (_, _, key), result in zip(chunk, outs):
-                    self.store.put(key, result)
-                    self.simulations_executed += 1
-                    results[key] = result
+            if signature is None:
+                for config, m, key in pending:
+                    results[key] = self.simulate(benchmark, config, m)
+                continue
+            pipelines = [self.build_pipeline(c, m) for c, m, _ in pending]
+            self.schedule_passes += 1
+            outs = OutOfOrderPipeline.run_batch(
+                pipelines, self.trace(benchmark), measure_from=warmup
+            )
+            for (_, _, key), result in zip(pending, outs):
+                self.store.put(key, result)
+                self.simulations_executed += 1
+                results[key] = result
         return [results[key] for key in resolved]
 
     def execute_group(
         self, group: PlanGroup
     ) -> list[tuple[WorkItem, SimResult]]:
-        """Execute one plan group through the path its shape dictates:
-        merged groups through the cross-point :meth:`run_group` pass,
-        per-point groups through :meth:`simulate_maps` (keeping the
-        ``MIN_BATCH_LANES`` crossover) or the single :meth:`simulate`
-        point.  Returns item/result pairs in plan order."""
-        if group.merged:
-            results = self.run_group(
-                group.benchmark,
-                [(item.config, item.map_index) for item in group.items],
-            )
-            return list(zip(group.items, results))
-        config = group.items[0].config
-        if group.items[0].map_index is None:
-            return [(group.items[0], self.simulate(group.benchmark, config))]
-        indices = [item.map_index for item in group.items]
-        results = self.simulate_maps(group.benchmark, config, indices)
+        """Execute one plan group through :meth:`run_group`.  Returns
+        item/result pairs in plan order."""
+        results = self.run_group(
+            group.benchmark,
+            [(item.config, item.map_index) for item in group.items],
+        )
         return list(zip(group.items, results))
 
     # ----- campaign API ---------------------------------------------------------
@@ -524,12 +415,10 @@ class Session:
         first iteration.
         """
         # Benchmarks only scope the campaign (a spec may sweep a subset of
-        # the session's suite) and execution knobs never ride specs; the
-        # fidelity fields must agree or the spec's task keys would not be
-        # this session's keys.
+        # the session's suite); the fidelity fields must agree or the
+        # spec's task keys would not be this session's keys.
         theirs = dataclasses.replace(
-            adopt_execution(spec.settings(), self.settings),
-            benchmarks=self.settings.benchmarks,
+            spec.settings(), benchmarks=self.settings.benchmarks
         )
         if theirs != self.settings:
             raise ValueError(
@@ -592,15 +481,12 @@ class Session:
         """A session at ``spec``'s fidelity sharing this session's store
         and trace cache (content-hash keys keep mixed-fidelity campaigns
         from colliding).  The derived session never closes the shared
-        store.  Execution knobs (batching crossovers) carry over from
-        this session — they are not part of a spec's fidelity."""
+        store."""
         return Session(
-            adopt_execution(spec.settings(), self.settings),
+            spec.settings(),
             pipeline_config=self.pipeline_config,
             store=self.store,
             trace_cache=self.traces.cache_dir,
-            lanes=self.lanes,
-            mega_batch=self.mega_batch,
         )
 
     # ----- simulator construction ----------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from repro.core.schemes import VoltageMode
@@ -49,13 +49,6 @@ class RunnerSettings:
     #: SimPoint-style warmup prefix: these instructions execute (warming
     #: predictors and caches) before the measured region begins.
     warmup_instructions: int = 10_000
-    #: Execution knobs, not fidelity: batching crossovers overriding the
-    #: measured module defaults (``session.MIN_BATCH_LANES`` /
-    #: ``session.MIN_MEGA_LANES``).  ``None`` keeps the defaults.  These
-    #: never enter :class:`CampaignSpec` or store task keys — results
-    #: are bit-identical at any width.
-    min_batch_lanes: int | None = None
-    min_mega_lanes: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_instructions <= 0:
@@ -64,10 +57,6 @@ class RunnerSettings:
             raise ValueError("n_fault_maps must be positive")
         if self.warmup_instructions < 0:
             raise ValueError("warmup_instructions must be non-negative")
-        for name in ("min_batch_lanes", "min_mega_lanes"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 when set")
         unknown = set(self.benchmarks) - set(ALL_BENCHMARKS)
         if unknown:
             raise ValueError(f"unknown benchmarks: {sorted(unknown)}")
@@ -99,18 +88,12 @@ class RunnerSettings:
             benchmarks = tuple(
                 name.strip() for name in env_benchmarks.split(",") if name.strip()
             )
-        def _lanes(var: str) -> int | None:
-            raw = os.environ.get(var)
-            return int(raw) if raw else None
-
         return cls(
             n_instructions=n_instr,
             n_fault_maps=n_maps,
             benchmarks=benchmarks,
             seed=seed,
             warmup_instructions=warmup,
-            min_batch_lanes=_lanes("REPRO_MIN_BATCH_LANES"),
-            min_mega_lanes=_lanes("REPRO_MIN_MEGA_LANES"),
         )
 
 
@@ -141,32 +124,6 @@ def config_from_dict(data: dict) -> RunConfig:
 # --------------------------------------------------------------------------
 # CampaignSpec
 # --------------------------------------------------------------------------
-
-#: RunnerSettings fields that are execution knobs, not campaign
-#: identity: they stay on the session's settings and never enter specs
-#: or store task keys.
-_EXECUTION_FIELDS = ("min_batch_lanes", "min_mega_lanes")
-
-#: The RunnerSettings fidelity/scope fields a spec carries verbatim.
-_SETTINGS_FIELDS = tuple(
-    f.name for f in fields(RunnerSettings) if f.name not in _EXECUTION_FIELDS
-)
-
-
-def adopt_execution(
-    settings: RunnerSettings, source: RunnerSettings
-) -> RunnerSettings:
-    """``settings`` carrying ``source``'s execution knobs.
-
-    Spec-reconstructed settings (:meth:`CampaignSpec.settings`) always
-    hold the knob defaults — execution fields never ride specs — so a
-    session comparing or deriving from them must adopt its own knobs
-    first or a crossover override would read as a fidelity mismatch.
-    """
-    return replace(
-        settings, **{name: getattr(source, name) for name in _EXECUTION_FIELDS}
-    )
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -227,7 +184,7 @@ class CampaignSpec:
     def settings(self) -> RunnerSettings:
         """The :class:`RunnerSettings` this spec implies."""
         return RunnerSettings(
-            **{name: getattr(self, name) for name in _SETTINGS_FIELDS}
+            **{f.name: getattr(self, f.name) for f in fields(RunnerSettings)}
         )
 
     # ----- JSON round-trip ------------------------------------------------------

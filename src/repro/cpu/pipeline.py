@@ -831,7 +831,6 @@ class OutOfOrderPipeline:
         pipelines: "Sequence[OutOfOrderPipeline]",
         trace: Trace,
         measure_from: int = 0,
-        min_lanes: int = 2,
     ) -> list[SimResult]:
         """Simulate N lanes — one pipeline per fault map — in a single
         pass over the shared front-end schedule.
@@ -849,15 +848,14 @@ class OutOfOrderPipeline:
         schemes, mixed victim contents *and sizings* — 0/8/16-entry
         lanes pad to one slot axis — fault-free baselines).  Batches
         the vectorised path cannot take — mixed latencies/geometries,
-        prefetchers, non-LRU policies, reused pipelines, fewer than
-        ``min_lanes`` lanes — fall back to sequential runs
-        transparently.
+        prefetchers, non-LRU policies, reused pipelines, a single lane —
+        fall back to sequential runs transparently.
         """
         pipelines = list(pipelines)
         if not pipelines:
             return []
         if (
-            len(pipelines) < min_lanes
+            len(pipelines) < 2
             or len(trace) == 0
             or not OutOfOrderPipeline._can_run_batch(pipelines)
         ):

@@ -127,46 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "campaign (default: no timeout)",
     )
     parser.add_argument(
-        "--lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="fault-map lanes per batched simulation pass (default: all "
-        "pending maps of a campaign point, falling back to per-map runs "
-        "below the efficiency crossover — ~4 lanes with the compiled "
-        "lane kernel; an explicit N >= 2 always batches; 1 = legacy "
-        "per-map path)",
-    )
-    parser.add_argument(
-        "--min-batch-lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the per-point batching crossover: pending chunks "
-        "narrower than N run per-map instead of vectorised (default: "
-        "the measured MIN_BATCH_LANES, currently 4; results are "
-        "bit-identical at any value)",
-    )
-    parser.add_argument(
-        "--min-mega-lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the merged-group crossover: mega-batch groups "
-        "narrower than N run per-lane (default: MIN_MEGA_LANES, "
-        "currently 2)",
-    )
-    parser.add_argument(
-        "--mega-batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="merge every pending lane of a campaign that shares a trace "
-        "and a batch signature — across figures and configurations — "
-        "into one schedule pass (default: on; results are bit-identical "
-        "either way, --no-mega-batch restores one pass per campaign "
-        "point)",
-    )
-    parser.add_argument(
         "--dry-run",
         action="store_true",
         help="resolve the campaign plan and print it — work items, "
@@ -235,16 +195,6 @@ def _settings_from_args(args: argparse.Namespace) -> RunnerSettings:
         seed=args.seed if args.seed is not None else base.seed,
         warmup_instructions=(
             args.warmup if args.warmup is not None else base.warmup_instructions
-        ),
-        min_batch_lanes=(
-            args.min_batch_lanes
-            if args.min_batch_lanes is not None
-            else base.min_batch_lanes
-        ),
-        min_mega_lanes=(
-            args.min_mega_lanes
-            if args.min_mega_lanes is not None
-            else base.min_mega_lanes
         ),
     )
 
@@ -355,8 +305,6 @@ def _run_main(raw_argv: list[str]) -> int:
                 _settings_from_args(args),
                 store=store,
                 trace_cache=trace_cache,
-                lanes=args.lanes,
-                mega_batch=args.mega_batch,
             )
         session_used = True
         return session
@@ -428,8 +376,7 @@ def _run_main(raw_argv: list[str]) -> int:
         active = shared_session()
         if not prefilled:
             prefilled = True
-            if args.workers > 1 or args.mega_batch:
-                prefill(active)
+            prefill(active)
         return active
 
     # Ablation studies build their own inputs (no shared session), so with
@@ -549,14 +496,6 @@ def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="warmup instructions before the measured region",
     )
-    parser.add_argument(
-        "--min-batch-lanes", type=_positive_int, default=None, metavar="N",
-        help="per-point batching crossover override",
-    )
-    parser.add_argument(
-        "--min-mega-lanes", type=_positive_int, default=None, metavar="N",
-        help="merged-group crossover override",
-    )
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -621,14 +560,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         "crashed merge with `store merge DIR --from ROOT`",
     )
     parser.add_argument(
-        "--lanes", type=_positive_int, default=None, metavar="N",
-        help="fault-map lanes per batched simulation pass",
-    )
-    parser.add_argument(
-        "--mega-batch", action=argparse.BooleanOptionalAction, default=True,
-        help="merge pending lanes across campaign points (default: on)",
-    )
-    parser.add_argument(
         "--trace-cache", type=str, default=None, metavar="DIR",
         help="persistent trace cache (default: $REPRO_TRACE_CACHE if set)",
     )
@@ -651,8 +582,6 @@ def _serve_main(argv: list[str]) -> int:
         _settings_from_args(args),
         store=store,
         trace_cache=trace_cache,
-        lanes=args.lanes,
-        mega_batch=args.mega_batch,
     )
     executor = None
     if args.workers > 1:
@@ -852,14 +781,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         help="per-chunk watchdog for --workers pools",
     )
     parser.add_argument(
-        "--lanes", type=_positive_int, default=None, metavar="N",
-        help="fault-map lanes per batched simulation pass",
-    )
-    parser.add_argument(
-        "--mega-batch", action=argparse.BooleanOptionalAction, default=True,
-        help="merge pending lanes across campaign points (default: on)",
-    )
-    parser.add_argument(
         "--trace-cache", type=str, default=None, metavar="DIR",
         help="persistent trace cache (default: $REPRO_TRACE_CACHE if set)",
     )
@@ -924,8 +845,6 @@ def _predict_main(argv: list[str]) -> int:
             settings,
             store=store,
             trace_cache=trace_cache,
-            lanes=args.lanes,
-            mega_batch=args.mega_batch,
         )
     executor = None
     if args.workers > 1 and not args.url:

@@ -44,7 +44,7 @@ from repro.campaign.events import (
     PointResult,
     SurrogateFit,
 )
-from repro.campaign.spec import CampaignSpec, adopt_execution
+from repro.campaign.spec import CampaignSpec
 from repro.experiments.configs import RunConfig
 from repro.experiments.results import FigureResult
 
@@ -262,7 +262,7 @@ class ActiveCampaign:
             # in map depth (excluded from task keys) — anything else and
             # `cached` would read the wrong universe.
             theirs = dataclasses.replace(
-                adopt_execution(spec.settings(), base_settings),
+                spec.settings(),
                 benchmarks=base_settings.benchmarks,
                 n_fault_maps=base_settings.n_fault_maps,
             )
@@ -322,7 +322,7 @@ class ActiveCampaign:
         base_settings = getattr(self.session, "settings", None)
         if base_settings is None:
             return self.session  # remote: the server derives per spec
-        wanted = adopt_execution(spec.settings(), base_settings)
+        wanted = spec.settings()
         if dataclasses.replace(
             wanted, benchmarks=base_settings.benchmarks
         ) == base_settings:

@@ -3,8 +3,8 @@
 Three pieces, layered on the seams PRs 5-8 built:
 
 * :class:`~repro.service.distributed.DistributedExecutor` — the
-  :class:`~repro.campaign.executors.Executor` that fans
-  ``Plan.worker_batches`` across worker processes *each writing to its
+  :class:`~repro.campaign.executors.Executor` that fans a plan's
+  groups across worker processes *each writing to its
   own store partition* (any :mod:`repro.store` backend), merging the
   partitions into the session store when the pool drains.  It subclasses
   :class:`~repro.campaign.executors.PoolExecutor`, so the retry /

@@ -58,8 +58,6 @@ def _partition_worker_init(
     settings,
     pipeline_config,
     trace_cache,
-    lanes,
-    mega_batch,
     chaos_epoch,
     partition_root,
     backend,
@@ -86,8 +84,6 @@ def _partition_worker_init(
         pipeline_config=pipeline_config,
         store=open_store(partition, backend=backend, fsync=fsync),
         trace_cache=trace_cache,
-        lanes=lanes,
-        mega_batch=mega_batch,
     )
     # The worker session owns its partition store (Session treats handed-
     # in stores as shared); make close() actually close it.
@@ -120,7 +116,7 @@ def _partition_worker_run_batches(
 
 
 class DistributedExecutor(PoolExecutor):
-    """Fan ``Plan.worker_batches`` across N workers, each writing to its
+    """Fan a plan's groups across N workers, each writing to its
     own store partition, merged into the session store at drain.
 
     ``partition_dir`` names the partition root (worker subdirectories
@@ -164,8 +160,6 @@ class DistributedExecutor(PoolExecutor):
                 session.settings,
                 session.pipeline_config,
                 session.traces.cache_dir,
-                session.lanes,
-                session.mega_batch,
                 epoch,
                 self._partition_root,
                 self.partition_backend,

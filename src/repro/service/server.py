@@ -61,7 +61,7 @@ from repro.campaign.events import (
 )
 from repro.campaign.plan import Plan, PlanGroup, WorkItem
 from repro.campaign.resilience import Quarantined
-from repro.campaign.spec import CampaignSpec, adopt_execution
+from repro.campaign.spec import CampaignSpec
 from repro.service import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -144,13 +144,11 @@ class CampaignServer:
         """The shared session when the spec matches its fidelity, else a
         (cached) derived session over the same store and trace cache."""
         base = self.session
-        theirs = dataclasses.replace(
-            adopt_execution(spec.settings(), base.settings),
-            benchmarks=base.settings.benchmarks,
-        )
-        if theirs == base.settings:
+        wanted = spec.settings()
+        if dataclasses.replace(
+            wanted, benchmarks=base.settings.benchmarks
+        ) == base.settings:
             return base
-        wanted = adopt_execution(spec.settings(), base.settings)
         if wanted not in self._derived:
             self._derived[wanted] = base.derived(spec)
         return self._derived[wanted]

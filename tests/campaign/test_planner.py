@@ -1,11 +1,17 @@
 """The unified Planner: grouping, dedup holes, predicted passes, and the
 serial/parallel plan-object equivalence the redesign pins."""
 
+import dataclasses
+from concurrent.futures import Future
+
 import pytest
 
+import repro.experiments.configs as configs_module
+from repro.campaign.executors import PoolExecutor, run_batch_locally
 from repro.campaign.plan import Planner
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
+from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -13,6 +19,7 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_INCREMENTAL,
     LV_WORD,
+    RunConfig,
 )
 
 SETTINGS = RunnerSettings(
@@ -73,13 +80,24 @@ class TestResolution:
         assert plan.dedup_hits == 1
         assert plan.pending == 2
 
-    def test_mega_off_plans_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        plan = resolve(session)
-        assert all(not group.merged for group in plan.groups)
+    def test_every_shipped_config_merges(self, session):
+        """Every Table III configuration the experiments ship has a batch
+        signature, so a campaign over all of them plans only mega-batch
+        groups — and costs exactly the passes the plan predicted."""
+        shipped = tuple(
+            dict.fromkeys(
+                value
+                for value in vars(configs_module).values()
+                if isinstance(value, RunConfig)
+            )
+        )
+        assert len(shipped) == 14
+        assert all(session.batch_signature(c) is not None for c in shipped)
+        plan = resolve(session, shipped)
+        assert plan.groups and all(group.merged for group in plan.groups)
         for group in plan.groups:
-            labels = {item.config.label for item in group.items}
-            assert len(labels) == 1
+            session.execute_group(group)
+        assert session.schedule_passes == plan.predicted_passes == len(plan.groups)
 
 
 class TestPredictedPasses:
@@ -91,17 +109,42 @@ class TestPredictedPasses:
         points = len(CONFIGS) * len(SETTINGS.benchmarks)
         assert plan.predicted_passes < points
 
-    def test_prediction_matches_execution_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        plan = resolve(session)
-        for group in plan.groups:
-            session.execute_group(group)
+    def test_prediction_matches_execution_per_point(self, session, monkeypatch):
+        """Configurations without a batch signature plan into the
+        sequential group: one pass per point predicted and spent, no
+        vectorised pass, results bit-identical to ``simulate``."""
+        configs = (LV_BASELINE, LV_BLOCK)
+        expected = {
+            (c, m): Session(SETTINGS).simulate("gzip", c, m)
+            for c, m in ((LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1))
+        }
+        monkeypatch.setattr(Session, "batch_signature", lambda self, config: None)
+
+        def boom(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("vectorised pass for an unsignable group")
+
+        monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
+        plan = resolve(session, configs)
+        (group,) = plan.groups
+        assert not group.merged and group.signature is None
+        assert plan.predicted_passes == len(group) == 3
+        results = session.execute_group(group)
+        assert {(i.config, i.map_index): r for i, r in results} == expected
         assert session.schedule_passes == plan.predicted_passes
 
-    def test_prediction_with_explicit_single_lane(self):
-        session = Session(SETTINGS, lanes=1)
-        plan = resolve(session)
-        assert plan.predicted_passes == plan.pending  # all sequential
+    def test_prediction_with_explicit_single_lane(self, monkeypatch):
+        """A one-map campaign of one configuration plans a one-lane
+        mega-batch: ``run_batch`` runs it sequentially, the one predicted
+        pass."""
+        session = Session(dataclasses.replace(SETTINGS, n_fault_maps=1))
+
+        def boom(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("vectorised pass for a single lane")
+
+        monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
+        plan = resolve(session, (LV_BLOCK,))
+        assert [(len(g), g.merged) for g in plan.groups] == [(1, True)]
+        assert plan.predicted_passes == 1
         for group in plan.groups:
             session.execute_group(group)
         assert session.schedule_passes == plan.predicted_passes
@@ -126,20 +169,42 @@ class TestPredictedPasses:
         assert plan.predicted_passes == 0
 
 
+class _RecordingPool(PoolExecutor):
+    """A two-worker pool run in-process that records every dispatch
+    batch it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__(workers=2)
+        self.batches: list = []
+
+    def _make_pool(self, session, workers, epoch):
+        return None
+
+    def _shutdown(self, pool):
+        pass
+
+    def _submit(self, pool, session, chunk):
+        self.batches.extend(chunk.batches)
+        worker = Session(session.settings)
+        results = [
+            pair for batch in chunk.batches for pair in run_batch_locally(worker, batch)
+        ]
+        future: Future = Future()
+        future.set_result((0, (0, 0, 0, 0), results))
+        return future
+
+
 class TestWorkerBatches:
     def test_pool_consumes_the_same_plan_objects(self, session):
-        """The pool's dispatch units (``worker_batches`` at the session's
-        default lane width) are exactly the plan's groups, in order."""
+        """The pool's dispatch units are exactly the plan's groups, in
+        order."""
         plan = resolve(session)
-        assert plan.worker_batches(session.lanes) == [
+        assert len(plan.groups) > 1
+        pool = _RecordingPool()
+        session.run_all(session.spec(CONFIGS), executor=pool)
+        assert pool.batches == [
             [item.task for item in group.items] for group in plan.groups
         ]
-
-    def test_lane_width_slices_groups(self, session):
-        plan = resolve(session)
-        batches = plan.worker_batches(lanes=1)
-        assert all(len(batch) == 1 for batch in batches)
-        assert sum(len(batch) for batch in batches) == plan.pending
 
 
 class TestDescribe:

@@ -31,8 +31,8 @@ def session() -> Session:
 
 @pytest.fixture(scope="module")
 def reference() -> dict:
-    """Sequential per-point results (the legacy path) for every item."""
-    sequential = Session(SETTINGS, lanes=1, mega_batch=False)
+    """Sequential per-point ``simulate`` results for every item."""
+    sequential = Session(SETTINGS)
     out = {}
     for config in CONFIGS:
         indices = range(SETTINGS.n_fault_maps) if config.needs_fault_map else (None,)

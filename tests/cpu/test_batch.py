@@ -46,12 +46,10 @@ def _sequential(session, config, indices, benchmark="gzip"):
     ]
 
 
-def _batched(session, config, indices, benchmark="gzip", **kwargs):
+def _batched(session, config, indices, benchmark="gzip"):
     trace = session.trace(benchmark)
     pipelines = [session.build_pipeline(config, m) for m in indices]
-    return OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=WARMUP, **kwargs
-    )
+    return OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
 
 
 @pytest.mark.parametrize(
@@ -65,10 +63,13 @@ def test_lanes_match_sequential_runs(session, config):
 
 
 def test_single_lane_forced_through_vector_path(session):
-    """min_lanes=1 pushes even a singleton batch down the vectorised
-    path (the default falls back for tiny batches)."""
+    """A singleton driven straight through the vectorised loop (which
+    ``run_batch`` never does: one lane runs sequentially) still matches
+    its sequential run."""
     expected = _sequential(session, LV_BLOCK, [2])
-    assert _batched(session, LV_BLOCK, [2], min_lanes=1) == expected
+    trace = session.trace("gzip")
+    pipelines = [session.build_pipeline(LV_BLOCK, 2)]
+    assert OutOfOrderPipeline._run_lanes(pipelines, trace, WARMUP) == expected
 
 
 def test_mixed_victim_sizes_batch_vectorised(session):

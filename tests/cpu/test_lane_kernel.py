@@ -47,9 +47,7 @@ def session() -> Session:
 def _run_batch(session, config, indices, benchmark="gzip"):
     trace = session.trace(benchmark)
     pipelines = [session.build_pipeline(config, m) for m in indices]
-    results = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=WARMUP, min_lanes=1
-    )
+    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
     return results, pipelines
 
 
@@ -104,13 +102,9 @@ class TestKernelVsFallback:
                 session.build_pipeline(LV_BLOCK_V10, 1),
             ]
 
-        with_kernel = OutOfOrderPipeline.run_batch(
-            build(), trace, measure_from=WARMUP, min_lanes=1
-        )
+        with_kernel = OutOfOrderPipeline.run_batch(build(), trace, measure_from=WARMUP)
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        without = OutOfOrderPipeline.run_batch(
-            build(), trace, measure_from=WARMUP, min_lanes=1
-        )
+        without = OutOfOrderPipeline.run_batch(build(), trace, measure_from=WARMUP)
         assert with_kernel == without
 
 

@@ -5,7 +5,11 @@ import pytest
 import repro.experiments.__main__ as cli
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.resilience import RetryPolicy
+from repro.campaign.session import Session
+from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.experiments.__main__ import main
+from repro.experiments.figures import configs_for_targets
+from repro.store import open_store
 
 FAST_PERF_ARGS = [
     "fig8",
@@ -70,25 +74,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fig11" in out
         assert "swim" in out
-
-    def test_lanes_flag_reproduces_default_output(self, capsys):
-        args = [
-            "fig8",
-            "--instructions",
-            "2500",
-            "--warmup",
-            "500",
-            "--maps",
-            "3",
-            "--benchmarks",
-            "gzip",
-        ]
-        assert main(args) == 0
-        default_out = capsys.readouterr().out
-        assert main(args + ["--lanes", "2"]) == 0
-        assert capsys.readouterr().out == default_out
-        assert main(args + ["--lanes", "1"]) == 0
-        assert capsys.readouterr().out == default_out
 
     def test_dry_run_prints_plan_without_simulating(self, capsys, tmp_path):
         args = [
@@ -206,13 +191,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "interrupted" in err and "resume" in err
 
-    def test_mega_batch_flag_reproduces_default_output(self, capsys):
-        """Cross-point mega-batching (the default) must be byte-identical
-        to the per-point path, at multi-figure scope where campaign
-        points actually merge."""
-        args = [
-            "fig8",
-            "ext-incremental",
+    def test_sequential_store_renders_identically(self, capsys, tmp_path):
+        """Mega-batched figures must be byte-identical to figures read
+        from a store filled by one sequential ``simulate`` per work item,
+        at multi-figure scope where campaign points actually merge."""
+        targets = ["fig8", "ext-incremental"]
+        settings = RunnerSettings(
+            n_instructions=2500,
+            warmup_instructions=500,
+            n_fault_maps=2,
+            benchmarks=("gzip",),
+        )
+        args = targets + [
             "--instructions",
             "2500",
             "--warmup",
@@ -222,10 +212,18 @@ class TestCLI:
             "--benchmarks",
             "gzip",
         ]
-        assert main(args) == 0
-        default_out = capsys.readouterr().out
-        assert main(args + ["--no-mega-batch"]) == 0
-        assert capsys.readouterr().out == default_out
+        assert main(args + ["--no-store"]) == 0
+        mega_out = capsys.readouterr().out
+        spec = CampaignSpec.from_settings(settings, configs_for_targets(targets))
+        store = open_store(str(tmp_path))
+        with Session(settings, store=store) as sequential:
+            for benchmark, config, m in spec.work_items():
+                sequential.simulate(benchmark, config, m)
+        store.close()
+        assert main(args + ["--store", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == mega_out
+        assert "simulations executed=0" in captured.err
 
 
 class TestSubcommands:

@@ -4,7 +4,8 @@ The mega-batch planner merges every pending (config, fault-map) lane of
 a campaign that shares a benchmark trace and a pipeline batch signature
 — across campaign points and figures — into one vectorised schedule
 pass.  These tests pin the grouping rules, the store scatter/dedup, the
-schedule-pass accounting, and bit-identity against the per-point path.
+schedule-pass accounting, and bit-identity against sequential
+per-point ``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def session() -> Session:
 @pytest.fixture(scope="module")
 def reference() -> dict:
     """Sequential per-point results for every item."""
-    sequential = Session(SETTINGS, lanes=1, mega_batch=False)
+    sequential = Session(SETTINGS)
     return {
         (config.label, m): sequential.simulate("gzip", config, m)
         for config, m in _all_items(SETTINGS, CONFIGS)
@@ -127,12 +128,6 @@ class TestPlanning:
         assert (LV_BLOCK, 0) not in items
         assert (LV_BLOCK, 1) in items
 
-    def test_mega_off_plans_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        plan = mega_groups(session, CONFIGS)
-        for group in plan:
-            assert len({config.label for config, _ in group}) == 1
-
     def test_duplicate_configs_collapse(self, session):
         plan = mega_groups(session, (LV_BLOCK, LV_BLOCK))
         items = [item for group in plan for item in group]
@@ -175,22 +170,24 @@ class TestGroupExecution:
         ]
         assert session.simulations_executed == 2  # the hole was a pure hit
 
-    def test_explicit_single_lane_stays_sequential(self, reference):
-        session = Session(SETTINGS, lanes=1)
-        items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
+    def test_explicit_single_lane_stays_sequential(self, session, reference):
+        # Signature sub-batches of one lane each never enter the
+        # vectorised loop, and each costs one pass.
+        items = [(LV_BLOCK, 0), (LV_WORD, None), (LV_INCREMENTAL, 1)]
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("vectorised path used with lanes=1")
+            raise AssertionError("vectorised path used for a single lane")
 
-        original = OutOfOrderPipeline.run_batch
-        OutOfOrderPipeline.run_batch = staticmethod(boom)
+        original = OutOfOrderPipeline._run_lanes
+        OutOfOrderPipeline._run_lanes = staticmethod(boom)
         try:
             results = session.run_group("gzip", items)
         finally:
-            OutOfOrderPipeline.run_batch = original
+            OutOfOrderPipeline._run_lanes = original
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
+        assert session.schedule_passes == len(items)
 
     def test_duplicate_items_simulate_once(self, session):
         items = [(LV_BLOCK, 0), (LV_BLOCK, 0), (LV_BLOCK, 1)]
@@ -230,15 +227,11 @@ class TestRunMega:
 
 class TestParallelMega:
     def test_worker_batches_are_trace_groups(self, session):
+        # The pool dispatches each plan group as one worker batch.
         plan = session.plan(session.spec(CONFIGS))
-        batches = plan.worker_batches(session.lanes)
-        flat = [task for batch in batches for task in batch]
-        assert len(flat) == len(list(_all_items(SETTINGS, CONFIGS)))
-        labels_per_batch = [
-            {config.label for (_, config, _) in batch} for batch in batches
-        ]
+        assert plan.pending == len(list(_all_items(SETTINGS, CONFIGS)))
         # At least one dispatch unit spans several campaign points.
-        assert any(len(labels) > 1 for labels in labels_per_batch)
+        assert any(len(group.labels) > 1 for group in plan.groups)
 
     def test_parallel_prefill_matches_sequential(self, reference):
         parallel = Session(SETTINGS)

@@ -9,7 +9,7 @@ from repro.campaign.executors import PoolExecutor, SerialExecutor, adaptive_chun
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.experiments.ablation import run_studies
-from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_BLOCK_V6, LV_WORD
+from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 from repro.store import DiskStore
 
 SMALL = RunnerSettings(
@@ -37,9 +37,9 @@ def pending_tasks(session: Session, configs) -> list:
 
 
 def plan_batches(session: Session, configs) -> list:
-    """Per-point lane batches: the plan of a session without
-    cross-point merging, sliced to the session's lane width."""
-    return session.plan(session.spec(configs)).worker_batches(session.lanes)
+    """The pool's dispatch batches: one task list per plan group."""
+    plan = session.plan(session.spec(configs))
+    return [[item.task for item in group.items] for group in plan.groups]
 
 
 class TestPlanning:
@@ -143,33 +143,18 @@ class TestPrefill:
 
 
 class TestBatchPlanning:
-    def test_groups_by_benchmark_and_physical_config(self):
-        session = Session(SMALL, mega_batch=False)
-        batches = plan_batches(session, (LV_BASELINE, LV_BLOCK, LV_BLOCK_V6))
-        # Per benchmark: one singleton baseline batch plus one batch per
-        # fault-dependent config holding both map lanes.
-        assert len(batches) == 2 * 3
-        map_batches = [b for b in batches if b[0][2] is not None]
-        assert all(len(b) == SMALL.n_fault_maps for b in map_batches)
-        for batch in map_batches:
-            assert len({(t[0], t[1]) for t in batch}) == 1
-
     def test_stored_lanes_excluded_before_grouping(self):
-        session = Session(SMALL, mega_batch=False)
+        session = Session(SMALL)
         session.simulate("crafty", LV_BLOCK, 0)
         batches = plan_batches(session, (LV_BLOCK,))
         crafty = [b for b in batches if b[0][0] == "crafty"]
         assert len(crafty) == 1
         assert [t[2] for t in crafty[0]] == [1]
 
-    def test_lane_width_splits_groups(self):
-        session = Session(SMALL, lanes=1, mega_batch=False)
-        batches = plan_batches(session, (LV_BLOCK,))
-        assert all(len(b) == 1 for b in batches)
-        assert sum(len(b) for b in batches) == 4  # 2 benchmarks x 2 maps
-
     def test_fault_independent_tasks_stay_singletons(self):
-        session = Session(SMALL, mega_batch=False)
+        # Baseline and word-disabling lanes differ in L1 latency, so no
+        # two of them share a batch signature.
+        session = Session(SMALL)
         batches = plan_batches(session, (LV_BASELINE, LV_WORD))
         assert all(len(b) == 1 for b in batches)
         assert sum(len(b) for b in batches) == 4

@@ -81,9 +81,7 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
         for config, m in LANE_ITEMS
     ]
     pipelines = [SESSION.build_pipeline(config, m) for config, m in LANE_ITEMS]
-    batched = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=measure_from, min_lanes=1
-    )
+    batched = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=measure_from)
     assert batched == sequential
 
 
@@ -94,7 +92,5 @@ def test_same_map_lanes_agree_on_random_traces(seed):
     (catches any cross-lane state bleed in the fused kernels)."""
     trace = random_trace(seed, 400)
     pipelines = [SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
-    results = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=0, min_lanes=1
-    )
+    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     assert results[0] == results[1] == results[2]

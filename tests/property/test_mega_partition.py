@@ -40,7 +40,7 @@ _REFERENCE: dict = {}
 
 def _reference() -> dict:
     if not _REFERENCE:
-        sequential = Session(TINY, lanes=1, mega_batch=False)
+        sequential = Session(TINY)
         for config, m in ITEMS:
             _REFERENCE[(config.label, m)] = sequential.simulate("gzip", config, m)
     return _REFERENCE
