@@ -12,10 +12,13 @@ per-map path) and each requested width.  Reported per lane width:
 
 Per config the bench also reports ``break_even_lanes`` — the
 interpolated lane count where a batched pass first matches sequential
-wall-clock (with the compiled lane kernel this sits near 3) — and a
-``hetero`` section demonstrating that a ``--maps 2`` campaign
-over mixed victim sizings (0/8/16 entries) pads to one slot axis and
-merges into a *single* vectorised pass group.
+wall-clock — and ``one_lane``: a one-lane kernel pass
+(``OutOfOrderPipeline._run_lanes``, which ``run_batch`` never takes for
+a single lane) against one sequential fused ``run()``.  A ``hetero``
+section demonstrates that a ``--maps 2`` campaign over mixed victim
+sizings (0/8/16 entries) pads to one slot axis and merges into a
+*single* planned pass.  With ``--no-kernel`` every width runs the
+lanes sequentially (the no-compiler path), so its speedups sit near 1.
 
 Every batched result is checked for **bit-identity** against the
 sequential runs; a divergence exits non-zero (that is the CI failure
@@ -72,7 +75,7 @@ def _parse_args(argv) -> argparse.Namespace:
         "--no-kernel",
         action="store_true",
         help="disable the compiled lane kernel (REPRO_NO_CKERNEL=1) to "
-        "measure the pure-NumPy fallback's crossover",
+        "measure the sequential fallback run_batch takes without it",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="timed repetitions (best kept)"
@@ -102,6 +105,32 @@ def _run_point(session, config, trace, warmup, map_count, width):
                 OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
             )
     return time.perf_counter() - start, results
+
+
+def _one_lane(session, config, trace, warmup, repeats) -> "dict | None":
+    """One lane through a kernel pass vs one sequential fused ``run()``
+    (``None`` without a kernel: there is no one-lane pass to time)."""
+    from repro.cpu import lane_kernel
+
+    if lane_kernel.load() is None:
+        return None
+    lane_times, run_times = [], []
+    for _ in range(repeats):
+        pipeline = session.build_pipeline(config, 0)
+        start = time.perf_counter()
+        expected = pipeline.run(trace, measure_from=warmup)
+        run_times.append(time.perf_counter() - start)
+        pipelines = [session.build_pipeline(config, 0)]
+        start = time.perf_counter()
+        got = OutOfOrderPipeline._run_lanes(pipelines, trace, warmup)
+        lane_times.append(time.perf_counter() - start)
+    lane_s, run_s = min(lane_times), min(run_times)
+    return {
+        "lane_pass_s": round(lane_s, 4),
+        "sequential_s": round(run_s, 4),
+        "ratio": round(lane_s / run_s, 2),
+        "identical": got == [expected],
+    }
 
 
 def _break_even(widths, rows) -> "float | None":
@@ -190,6 +219,7 @@ def run_bench(args) -> dict:
     total = len(trace) * maps
 
     configs: dict[str, dict] = {}
+    one_lane: dict[str, "dict | None"] = {}
     divergences = 0
     for config in BENCH_CONFIGS:
         session.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
@@ -227,6 +257,10 @@ def run_bench(args) -> dict:
             }
         rows["break_even_lanes"] = _break_even(widths, rows)
         configs[config.label] = rows
+        one = _one_lane(session, config, trace, warmup, repeats)
+        if one is not None and not one["identical"]:
+            divergences += 1
+        one_lane[config.label] = one
     hetero = _run_hetero(args, instructions, warmup)
     if not hetero["identical"]:
         divergences += 1
@@ -241,6 +275,7 @@ def run_bench(args) -> dict:
         "kernel_active": lane_kernel.load() is not None,
         "lanes": widths,
         "configs": configs,
+        "one_lane": one_lane,
         "speedup_full_batch": configs[BENCH_CONFIGS[0].label][top]["speedup"],
         "break_even_lanes": configs[BENCH_CONFIGS[0].label]["break_even_lanes"],
         "hetero": hetero,
@@ -270,6 +305,13 @@ def main(argv=None) -> int:
             )
         be = rows["break_even_lanes"]
         print(f"  break-even: {be if be is not None else '> max measured'} lanes")
+        one = summary["one_lane"][label]
+        if one is not None:
+            ok = "yes" if one["identical"] else "DIVERGED"
+            print(
+                f"  1-lane pass {one['lane_pass_s']:.4f}s vs sequential run "
+                f"{one['sequential_s']:.4f}s ({one['ratio']:.2f}x)  ok={ok}"
+            )
     print(f"full-batch speedup: {summary['speedup_full_batch']}x")
     hetero = summary["hetero"]
     print(

@@ -12,9 +12,10 @@ campaign smoke: the ``Session.run(spec)`` path must reproduce the
 committed fig8 figure-JSON golden byte for byte, and dedup re-runs must
 execute zero schedule passes.  The
 ``kernel`` smoke gates the compiled lane kernel:
-a heterogeneous-victim campaign must merge into one vectorised pass and
-stay bit-identical both with the C kernel and on the NumPy fallback,
-and the vectorised schedule compiler must match the reference replay.
+a heterogeneous-victim campaign must merge into one planned pass, run
+it as exactly one kernel call, stay bit-identical with the sequential
+runs ``REPRO_NO_CKERNEL=1`` falls back to, and the vectorised schedule
+compiler must match the reference replay.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write (no process of it may survive), resumed
@@ -411,12 +412,14 @@ def smoke_kernel(json_dir: str) -> list[str]:
 
     A heterogeneous-victim campaign (block disabling plus the 6T and
     10T victim-cache rows over two fault maps — six lanes) must merge
-    into ONE vectorised pass group and scatter back bit-identical to
-    the sequential fused runs, twice: once with the compiled C lane
-    kernel active (when buildable) and once forced onto the NumPy
-    fallback (``REPRO_NO_CKERNEL=1``).  The vectorised pass-1 schedule
-    compiler must also match the reference replay, ``.npz`` payload
-    included.
+    into ONE planned pass and scatter back bit-identical to the
+    sequential fused runs, twice: once with the compiled C lane kernel
+    active (when buildable), where the pass must be exactly one kernel
+    call (``kernel_calls_per_pass``), and once with the kernel disabled
+    (``REPRO_NO_CKERNEL=1``), where ``run_batch`` must run the lanes
+    sequentially without entering the lane-batched pass.  The
+    vectorised pass-1 schedule compiler must also match the reference
+    replay, ``.npz`` payload included.
     """
     import io
 
@@ -425,6 +428,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
     from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
+    from repro.cpu.pipeline import OutOfOrderPipeline
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
 
     settings = RunnerSettings(
@@ -443,21 +447,44 @@ def smoke_kernel(json_dir: str) -> list[str]:
     }
 
     def hetero_pass() -> dict:
-        with Session(settings) as session:
-            plan = session.plan(CampaignSpec.from_settings(settings, configs))
-            for group in plan.groups:
-                session.execute_group(group)
-            divergences = sum(
-                session.store.get(session.task_key("gzip", config, m))
-                != reference[(config.label, m)]
-                for config, m in items
-            )
-            return {
-                "groups": len(plan.groups),
-                "merged": all(g.merged for g in plan.groups),
-                "passes": session.schedule_passes,
-                "divergences": divergences,
-            }
+        kernel = lane_kernel.load()
+        lane_passes = []
+        kernel_calls = []
+        run_lanes = OutOfOrderPipeline.__dict__["_run_lanes"]
+
+        def counting_kernel(ctx_ptr):
+            kernel_calls.append(ctx_ptr)
+            return kernel(ctx_ptr)
+
+        def counting_lanes(*args, **kwargs):
+            lane_passes.append(len(args[0]))
+            return run_lanes.__func__(*args, **kwargs)
+
+        saved_fn = lane_kernel._cached_fn
+        if kernel is not None:
+            lane_kernel._cached_fn = counting_kernel
+        OutOfOrderPipeline._run_lanes = staticmethod(counting_lanes)
+        try:
+            with Session(settings) as session:
+                plan = session.plan(CampaignSpec.from_settings(settings, configs))
+                for group in plan.groups:
+                    session.execute_group(group)
+                divergences = sum(
+                    session.store.get(session.task_key("gzip", config, m))
+                    != reference[(config.label, m)]
+                    for config, m in items
+                )
+        finally:
+            OutOfOrderPipeline._run_lanes = run_lanes
+            lane_kernel._cached_fn = saved_fn
+        return {
+            "groups": len(plan.groups),
+            "merged": all(g.merged for g in plan.groups),
+            "passes": session.schedule_passes,
+            "lane_passes": len(lane_passes),
+            "kernel_calls": len(kernel_calls),
+            "divergences": divergences,
+        }
 
     failures: list[str] = []
     kernel_active = lane_kernel.load() is not None
@@ -483,6 +510,22 @@ def smoke_kernel(json_dir: str) -> list[str]:
                 f"in {run['groups']} group(s) (merged={run['merged']}), "
                 "expected one merged pass"
             )
+    calls_per_pass = None
+    if kernel_active:
+        kernel_run = runs["kernel"]
+        if kernel_run["lane_passes"]:
+            calls_per_pass = kernel_run["kernel_calls"] / kernel_run["lane_passes"]
+        if kernel_run["lane_passes"] != 1 or calls_per_pass != 1:
+            failures.append(
+                f"kernel engine: {kernel_run['kernel_calls']} kernel call(s) over "
+                f"{kernel_run['lane_passes']} lane-batched pass(es), expected "
+                "exactly one call for one pass"
+            )
+    if runs["fallback"]["lane_passes"] or runs["fallback"]["kernel_calls"]:
+        failures.append(
+            "REPRO_NO_CKERNEL=1 entered the lane-batched pass instead of "
+            "running the lanes sequentially"
+        )
 
     trace = sequential.trace("gzip")
     offset_bits = sequential.build_pipeline(
@@ -512,6 +555,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
         "kernel",
         {
             "kernel_active": kernel_active,
+            "kernel_calls_per_pass": calls_per_pass,
             "lanes": len(items),
             "runs": runs,
             "schedule_compile_identical": compile_identical,

@@ -502,12 +502,10 @@ class FusedHierarchy:
 #
 # The bulk engine widens the fused engine's flat state by one axis: every
 # per-way quantity becomes a NumPy array with a *lane* dimension, one lane
-# per fault map.  The residency probe, the refill (victim-way choice +
-# fill), and the victim-cache swap become vectorised multi-lane ports: a
-# single `tags[base : base + ways] == tag` comparison probes one set in
-# every lane at once, and the miss *event* (usually shared by many lanes —
-# cold misses hit all of them together) is serviced with lane-masked
-# vector operations rather than a per-lane loop.
+# per fault map.  The compiled lane kernel (:mod:`repro.cpu.lane_kernel`)
+# works on these arrays in place through raw pointers: it probes each
+# lane's set, and services a lane's miss — victim swap, shared-L2 probe
+# and refill, L1 refill, evictee insertion — before moving to the next.
 #
 # Recency is tracked with *stamps* instead of per-lane clocks: the stamp
 # of an access is a trace-static, strictly increasing function of the
@@ -516,10 +514,9 @@ class FusedHierarchy:
 # the sequential engine's clock order and every LRU decision — including
 # the invalid-way preference, encoded by initialising invalid usable ways
 # to a stamp below any real one, and disabled ways to one above all
-# (``BIG_STAMP``) — is bit-identical.  Statistics are not accumulated per
-# event; instead the per-event lane masks (hit, victim-hit, L2-hit,
-# eviction, writeback) are recorded as rows of boolean matrices and the
-# counters are reconstructed by column sums at run end.
+# (``BIG_STAMP``) — is bit-identical.  Statistics are per-lane ``int64``
+# counters (:data:`LANE_COUNTERS`) the kernel bumps for measured-region
+# events only; :meth:`BulkLanes.finalize` turns them into ``CacheStats``.
 
 #: Stamp sentinel ordering: disabled ways stay above every real stamp
 #: (never chosen by the LRU argmin), invalid usable ways below (always
@@ -528,17 +525,13 @@ BIG_STAMP = 1 << 62
 
 
 class VectorCache:
-    """Multi-lane flat state of one cache level (the probe/refill port).
+    """Multi-lane flat state of one cache level.
 
-    Every array is lane-major — ``tags``/``last``/``dirty``/``fill_time``
-    all ``[lane, flat_index]`` — so one flat index vector (``lane_offset +
-    set_base + way``) addresses a set across all four arrays: the event
-    service computes it once per refill and reuses it for the tag check,
-    the fill scatter, the recency stamp, and the dirty bit.  The set
-    probe compares a strided ``[:, base : base + ways]`` slab (eight
-    contiguous elements per lane); the LRU victim argmin runs along the
-    same contiguous axis.  Every array carries one extra dump column
-    (index ``n``) that lane-masked scatters divert excluded lanes to.
+    Every array is lane-major and C-contiguous — ``tags``/``last``/
+    ``dirty``/``fillt`` all ``[lane, flat_index]`` with ``flat_index =
+    set * ways + way`` — so one offset (``lane * n + set_base + way``)
+    addresses a way across all four arrays, and a set's ways are
+    contiguous for the probe and the LRU argmin.
     """
 
     __slots__ = (
@@ -552,7 +545,6 @@ class VectorCache:
         "dirty",
         "fillt",
         "orig_last",
-        "bypass_sets",
         "pristine",
     )
 
@@ -568,10 +560,10 @@ class VectorCache:
         n = geometry.num_sets * geometry.ways
         self.n = n
         lanes = len(caches)
-        self.tags = np.full((lanes, n + 1), -1, dtype=np.int64)
-        self.last = np.zeros((lanes, n + 1), dtype=np.int64)
-        self.dirty = np.zeros((lanes, n + 1), dtype=np.bool_)
-        self.fillt = np.zeros((lanes, n + 1), dtype=np.int64)
+        self.tags = np.full((lanes, n), -1, dtype=np.int64)
+        self.last = np.zeros((lanes, n), dtype=np.int64)
+        self.dirty = np.zeros((lanes, n), dtype=np.bool_)
+        self.fillt = np.zeros((lanes, n), dtype=np.int64)
         # A pristine cache's flat state is all defaults (-1/0/False/0);
         # skipping its list -> array conversion makes compiling a fresh
         # campaign batch O(lanes), which matters for the 2MB L2 — and the
@@ -582,25 +574,19 @@ class VectorCache:
                 self.pristine.append(True)
                 continue
             self.pristine.append(False)
-            self.tags[lane, :n] = cache._tags
-            self.last[lane, :n] = cache._last_touch
-            self.dirty[lane, :n] = cache._dirty
-            self.fillt[lane, :n] = cache._fill_time
-        self.orig_last = self.last[:, :n].copy()
-        # Stamp sentinels (see module comment).  ``bypass_sets`` lists the
-        # set indices where *any* lane has zero usable ways — only those
-        # events need the (rare) fill-bypass check.
-        last_main = self.last[:, :n]
-        last_main[self.tags[:, :n] == -1] = -1
-        bypass: set[int] = set()
+            self.tags[lane] = cache._tags
+            self.last[lane] = cache._last_touch
+            self.dirty[lane] = cache._dirty
+            self.fillt[lane] = cache._fill_time
+        self.orig_last = self.last.copy()
+        # Stamp sentinels (see module comment).  A set with no usable way
+        # in a lane is all ``BIG_STAMP`` there, which is how the kernel
+        # recognises a fill bypass.
+        self.last[self.tags == -1] = -1
         for lane, cache in enumerate(caches):
             if cache._enabled is not None:
                 disabled = ~cache._enabled.reshape(-1)
-                last_main[lane, disabled] = BIG_STAMP
-                for s, usable in enumerate(cache._usable_ways):
-                    if not usable:
-                        bypass.add(s)
-        self.bypass_sets = bypass
+                self.last[lane, disabled] = BIG_STAMP
 
     def max_clock(self) -> int:
         return max(cache._clock for cache in self.caches)
@@ -612,7 +598,7 @@ class VectorCache:
         n = self.n
         ways = self.ways
         tag_shift = self.tag_shift
-        valid = self.tags[:, :n] >= 0
+        valid = self.tags >= 0
         sparse = n > 4096 and all(self.pristine)
         if sparse:
             # Large caches that started pristine (the usual 2MB L2 of a
@@ -644,14 +630,14 @@ class VectorCache:
                 resident.clear()
                 resident.update(zip(blocks.tolist(), idx_list))
             return
-        merged = np.where(valid, self.last[:, :n], self.orig_last)
+        merged = np.where(valid, self.last, self.orig_last)
         # Whole-matrix conversions: one C-level tolist per array beats a
         # per-lane conversion loop by a wide margin.
-        tags_rows = self.tags[:, :n]
+        tags_rows = self.tags
         tags_lists = tags_rows.tolist()
-        dirty_lists = self.dirty[:, :n].tolist()
+        dirty_lists = self.dirty.tolist()
         merged_lists = merged.tolist()
-        fillt_lists = self.fillt[:, :n].tolist()
+        fillt_lists = self.fillt.tolist()
         for lane, cache in enumerate(self.caches):
             index = np.flatnonzero(valid[lane])
             blocks = (tags_rows[lane, index] << tag_shift) | (index // ways)
@@ -666,7 +652,7 @@ class VectorCache:
 
 
 class VectorVictims:
-    """Multi-lane victim-cache state (the vectorised swap port).
+    """Multi-lane victim-cache state.
 
     The LRU list becomes ``tags[lane, slot]`` plus an insertion stamp per
     slot: eviction picks the minimal stamp (the list head), empty slots
@@ -684,10 +670,9 @@ class VectorVictims:
     capacity carry tag ``-1`` (probes never match) with stamp
     ``BIG_STAMP`` (strictly above every run stamp, so the insert-path
     ``argmin`` never evicts into them).  Lanes with *no* victim cache
-    (``None``, the 0-entry configuration) additionally divert their
-    inserts to the dump slot via :attr:`insertable`, so 0/8/16-entry
-    configurations — e.g. the paper's three disabling schemes — batch
-    as one lane group.
+    (``None``, the 0-entry configuration) additionally skip inserts via
+    the :attr:`insertable` mask, so 0/8/16-entry configurations — e.g.
+    the paper's three disabling schemes — batch as one lane group.
     """
 
     __slots__ = (
@@ -708,10 +693,8 @@ class VectorVictims:
         self.entries = entries
         self.empty_stamp = -(entries + 1)
         lanes = len(victims)
-        self.tags = np.full((lanes, entries + 1), -1, dtype=np.int64)
-        self.stamp = np.full(
-            (lanes, entries + 1), self.empty_stamp, dtype=np.int64
-        )
+        self.tags = np.full((lanes, entries), -1, dtype=np.int64)
+        self.stamp = np.full((lanes, entries), self.empty_stamp, dtype=np.int64)
         for lane, victim in enumerate(victims):
             if victim is None:
                 continue
@@ -720,15 +703,9 @@ class VectorVictims:
             for j, block in enumerate(victim._tags):  # LRU -> MRU order
                 self.tags[lane, j] = block
                 self.stamp[lane, j] = j - entries
-        #: Per-lane insert eligibility mask, or ``None`` when every lane
-        #: can insert (``argmin`` slot choice is then already exact and
-        #: the service closure skips the extra mask op per event).
-        if all(lane_entries):
-            self.insertable = None
-        else:
-            self.insertable = np.array(
-                [e > 0 for e in lane_entries], dtype=np.bool_
-            )
+        #: Per-lane insert eligibility: ``False`` for lanes with no
+        #: victim cache, whose L1 evictees are dropped.
+        self.insertable = np.array([e > 0 for e in lane_entries], dtype=np.bool_)
 
     def sync(self) -> None:
         for lane, victim in enumerate(self.victims):
@@ -746,9 +723,9 @@ class VectorVictims:
 def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     """The hierarchy's bulk-engine eligibility signature, or ``None``.
 
-    Two hierarchies can share one vectorised lane batch iff both return
+    Two hierarchies can share one lane batch iff both return
     equal non-``None`` signatures: LRU replacement everywhere (the stamp
-    encoding is an LRU-order argument) and a fully-enabled L2 (the bulk
+    encoding is an LRU-order argument) and a fully-enabled L2 (the kernel's
     L2 refill has no fill-bypass port; the paper's L2 is always
     fault-free) are hard requirements.  Victim sizing is *not* part of
     the signature: :class:`VectorVictims` pads heterogeneous sizings to
@@ -767,7 +744,7 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
 
 
 def bulk_lanes_eligible(hierarchies: list[MemoryHierarchy]) -> bool:
-    """Whether the bulk-vectorised lane engine covers these hierarchies
+    """Whether the lane-batched engine covers these hierarchies
     as one batch (see :func:`bulk_signature`).  Anything else falls back
     to sequential runs."""
     signature = bulk_signature(hierarchies[0])
@@ -776,322 +753,19 @@ def bulk_lanes_eligible(hierarchies: list[MemoryHierarchy]) -> bool:
     return all(bulk_signature(h) == signature for h in hierarchies[1:])
 
 
-class _BulkPort:
-    """One compiled multi-lane port: the event-service closure plus the
-    recorded per-event masks its counters are reconstructed from."""
-
-    __slots__ = (
-        "service",
-        "hit_rows",
-        "l2hit_rows",
-        "evict_rows",
-        "wb_rows",
-        "vhit_rows",
-        "vevict_rows",
-        "bypass_events",
-        "event_count",
-        "boundary_event",
-    )
-
-
-def _compile_bulk_port(
-    l1: VectorCache,
-    l2: VectorCache,
-    victims: VectorVictims | None,
-    port0,
-    lanes: int,
-    max_events: int,
-    scratch: dict,
-    lat_scale: int = 1,
-) -> _BulkPort:
-    """Compile one port side's miss-event service closure.
-
-    ``service`` is called once per access where at least one lane missed
-    L1 (``cnt`` = hit-lane count, ``eq`` the probe's comparison matrix).
-    It performs the victim swap, the shared-L2 access, the L1 refill, and
-    the evictee insertion for every missing lane with lane-masked vector
-    operations, records the per-event masks, and returns the per-lane
-    latency *beyond* the L1 latency (zero at hit lanes) when asked —
-    pre-multiplied by ``lat_scale``, the batched pipeline's commit-width
-    timing scale.
-    """
-    bulk = _BulkPort()
-    # Counters are reconstructed from per-event mask rows summed once at
-    # run end — O(accesses x lanes) boolean memory (a few tens of MB at
-    # paper fidelity) traded for zero per-event counter arithmetic.
-    # 10M+-instruction traces would want chunked flushing here.
-    bulk.hit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.l2hit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.evict_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.wb_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    if victims is not None:
-        bulk.vhit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-        bulk.vevict_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    else:
-        bulk.vhit_rows = None
-        bulk.vevict_rows = None
-    bulk.bypass_events = []  # rare: (event_index, bypass-mask) pairs
-    bulk.event_count = [0]
-    bulk.boundary_event = [0]
-
-    hit_rows = bulk.hit_rows
-    l2hit_rows = bulk.l2hit_rows
-    evict_rows = bulk.evict_rows
-    wb_rows = bulk.wb_rows
-    vhit_rows = bulk.vhit_rows
-    vevict_rows = bulk.vevict_rows
-    bypass_events = bulk.bypass_events
-    event_cell = bulk.event_count
-
-    l1_lat = port0.l1_latency
-    victim_lat = port0.victim_latency
-    l2_lat = port0.l2_latency
-    memory_lat = port0.memory_latency
-    mem_minus_l2 = memory_lat - l2_lat
-
-    l1_tags, l1_last = l1.tags, l1.last
-    l1_dirty, l1_fillt = l1.dirty, l1.fillt
-    l1_ways, l1_dump = l1.ways, l1.n
-    l1_tag_shift = l1.tag_shift
-    bypass_sets = l1.bypass_sets
-    l2_tags, l2_last, l2_fillt = l2.tags, l2.last, l2.fillt
-    l2_ways, l2_dump = l2.ways, l2.n
-
-    if victims is not None:
-        v_entries = victims.entries
-        v_tags = victims.tags
-        v_tags_main = v_tags[:, :v_entries]
-        v_stamp = victims.stamp
-        v_stamp_main = v_stamp[:, :v_entries]
-        v_insertable = victims.insertable  # None when every lane inserts
-        vins_buf = scratch["vins"]
-
-    ar = scratch["ar"]
-    miss_buf = scratch["miss"]
-    l2need_buf = scratch["l2need"]
-    fill2 = scratch["fill2"]
-    nb = scratch["nb"]
-    nb2 = scratch["nb2"]
-    ev_buf = scratch["ev"]
-    wb_buf = scratch["wb"]
-    amin1 = scratch["amin1"]
-    amin2 = scratch["amin2"]
-    fa = scratch["flat_a"]
-    fb = scratch["flat_b"]
-    vfa = scratch["flat_va"]
-    vfb = scratch["flat_vb"]
-    et_buf = scratch["et"]
-    et2_buf = scratch["et2"]
-    t64 = scratch["t64"]
-    t64b = scratch["t64b"]
-    #: All lanes missed — 75%+ of events at narrow widths (cold/capacity
-    #: misses land in every lane together); the all-miss mask is a shared
-    #: read-only constant and every ``logical_and`` against it is skipped.
-    all_true = scratch["all_true"]
-    eq2_buf = np.empty((lanes, l2_ways), dtype=np.bool_)
-    l2ev_rows = scratch["l2ev_rows"]
-
-    # Flat 1-D views + one precomputed per-lane offset vector per level:
-    # the lane-major layout means a single flat index (``lane_offset +
-    # set_base + way``) addresses tags, recency, dirty bits and fill
-    # times alike — computed once per refill, reused by every gather and
-    # scatter.  ``*_dump_vec`` is the same vector pointing at the dump
-    # column, copied over excluded lanes' entries instead of a separate
-    # index fix-up pass.
-    l1_tags_flat = l1_tags.reshape(-1)
-    l1_last_flat = l1_last.reshape(-1)
-    l1_dirty_flat = l1_dirty.reshape(-1)
-    l1_fillt_flat = l1_fillt.reshape(-1)
-    ar_l1rows = ar * (l1_dump + 1)
-    l1_dump_vec = ar_l1rows + l1_dump
-    l2_tags_flat = l2_tags.reshape(-1)
-    l2_last_flat = l2_last.reshape(-1)
-    l2_fillt_flat = l2_fillt.reshape(-1)
-    ar_l2rows = ar * (l2_dump + 1)
-    l2_dump_vec = ar_l2rows + l2_dump
-    if victims is not None:
-        v_tags_flat = v_tags.reshape(-1)
-        v_stamp_flat = v_stamp.reshape(-1)
-        ar_vrows = ar * (v_entries + 1)
-        v_dump_vec = ar_vrows + v_entries
-
-    count_nonzero = np.count_nonzero
-    logical_not = np.logical_not
-    logical_and = np.logical_and
-    add = np.add
-    copyto = np.copyto
-
-    # 0-d operands keep every ufunc call off the slow Python-scalar
-    # conversion path (~3x dispatch cost); sc_* are mutable cells for the
-    # per-event scalars, c_* are constants.
-    sc_a = np.array(0, np.int64)
-    sc_b = np.array(0, np.int64)
-    sc_stamp = np.array(0, np.int64)
-    c_zero = np.array(0, np.int64)
-    c_neg1 = np.array(-1, np.int64)
-    c_true = np.array(True)
-    c_vempty = np.array(
-        victims.empty_stamp if victims is not None else 0, np.int64
-    )
-    c_l2lat = np.array(l2_lat * lat_scale, np.int64)
-    c_memdelta = np.array(mem_minus_l2 * lat_scale, np.int64)
-    c_viclat = np.array(victim_lat * lat_scale, np.int64)
-    c_tagshift = np.array(l1_tag_shift, np.int64)
-
-    def service(stamp, block, base, s, base2, tag2, tag, eq, cnt, is_write, want_lat):
-        ei = event_cell[0]
-        event_cell[0] = ei + 1
-        sc_stamp[()] = stamp
-        all_miss = cnt == 0
-        # ---- hit-lane updates + miss mask ---------------------------------
-        if all_miss:
-            miss = all_true  # shared constant, never written
-        else:
-            hit = eq.any(1, out=hit_rows[ei])
-            miss = logical_not(hit, out=miss_buf)
-            # Matched positions only — miss lanes have no match, so the
-            # masked copy needs no dump diversion.
-            copyto(l1_last[:, base : base + l1_ways], sc_stamp, where=eq)
-            if is_write:
-                copyto(l1_dirty[:, base : base + l1_ways], c_true, where=eq)
-        # ---- victim-cache swap probe (extract-on-hit) ---------------------
-        vcnt = 0
-        if victims is not None:
-            sc_b[()] = block
-            veq = scratch["veq"][:, :v_entries]
-            np.equal(v_tags_main, sc_b, out=veq)
-            vhit = veq.any(1, out=vhit_rows[ei])
-            if not all_miss:
-                logical_and(vhit, miss, out=vhit)
-            vcnt = count_nonzero(vhit)
-            if vcnt:
-                vslot = np.argmax(veq, axis=1, out=amin1)
-                add(vslot, ar_vrows, out=vfa)
-                logical_not(vhit, out=nb)
-                copyto(vfa, v_dump_vec, where=nb)  # divert non-hit lanes
-                v_tags_flat[vfa] = c_neg1
-                v_stamp_flat[vfa] = c_vempty
-                l2need = logical_and(miss, nb, out=l2need_buf)
-                need_all = False
-            else:
-                l2need = miss  # read-only below: alias, no copy
-                need_all = all_miss
-        else:
-            l2need = miss
-            need_all = all_miss
-        # ---- shared L2 ----------------------------------------------------
-        sc_b[()] = tag2
-        np.equal(l2_tags[:, base2 : base2 + l2_ways], sc_b, out=eq2_buf)
-        h2 = eq2_buf.any(1, out=l2hit_rows[ei])
-        if need_all:
-            # Every lane probed the L2: matched positions need no mask.
-            copyto(l2_last[:, base2 : base2 + l2_ways], sc_stamp, where=eq2_buf)
-            fill2_m = logical_not(h2, out=fill2)
-        else:
-            logical_and(h2, l2need, out=h2)
-            if count_nonzero(h2):
-                # Mask out lanes that did not probe the L2 (an L1-hit lane
-                # may still hold the block; its recency must not move).
-                logical_and(eq2_buf, l2need[:, None], out=eq2_buf)
-                copyto(
-                    l2_last[:, base2 : base2 + l2_ways], sc_stamp, where=eq2_buf
-                )
-            logical_not(h2, out=fill2)
-            fill2_m = logical_and(fill2, l2need, out=fill2)
-        n2m = count_nonzero(fill2_m)
-        if n2m:
-            vw2 = np.argmin(
-                l2_last[:, base2 : base2 + l2_ways], axis=1, out=amin2
-            )
-            sc_a[()] = base2
-            add(vw2, sc_a, out=vw2)
-            add(vw2, ar_l2rows, out=fa)
-            if n2m != lanes:
-                logical_not(fill2_m, out=nb2)
-                copyto(fa, l2_dump_vec, where=nb2)  # divert to the dump slot
-                et2 = l2_tags_flat.take(fa, out=et2_buf)
-                np.greater_equal(et2, c_zero, out=ev_buf)
-                # L2 evictions fold into this port's eviction matrix; the
-                # L2 is never dirty (fills are reads), so no writebacks.
-                logical_and(ev_buf, fill2_m, out=l2ev_rows[ei])
-            else:
-                et2 = l2_tags_flat.take(fa, out=et2_buf)
-                np.greater_equal(et2, c_zero, out=l2ev_rows[ei])
-            l2_tags_flat[fa] = sc_b  # sc_b still holds tag2
-            l2_last_flat[fa] = sc_stamp
-            l2_fillt_flat[fa] = sc_stamp
-        # ---- latency beyond L1 (zero at hit lanes) ------------------------
-        if want_lat:
-            if need_all:
-                np.multiply(fill2_m, c_memdelta, out=t64)
-                add(t64, c_l2lat, out=t64)
-            else:
-                np.multiply(l2need, c_l2lat, out=t64)
-                if n2m:
-                    np.multiply(fill2_m, c_memdelta, out=t64b)
-                    add(t64, t64b, out=t64)
-            if vcnt:
-                np.multiply(vhit, c_viclat, out=t64b)
-                add(t64, t64b, out=t64)
-        # ---- L1 refill (vectorised victim-way choice) ---------------------
-        vw = np.argmin(l1_last[:, base : base + l1_ways], axis=1, out=amin1)
-        sc_a[()] = base
-        add(vw, sc_a, out=vw)
-        add(vw, ar_l1rows, out=fb)
-        fill1_all = all_miss
-        if s in bypass_sets:
-            gathered = l1_last_flat.take(fb)
-            byp = (gathered >= BIG_STAMP) & miss
-            bypass_events.append((ei, byp))
-            fill1 = miss & ~byp
-            fill1_all = False
-        else:
-            fill1 = miss
-        if fill1_all:
-            et = l1_tags_flat.take(fb, out=et_buf)
-            ev = np.greater_equal(et, c_zero, out=evict_rows[ei])
-        else:
-            logical_not(fill1, out=nb)
-            copyto(fb, l1_dump_vec, where=nb)  # divert hit lanes to the dump
-            et = l1_tags_flat.take(fb, out=et_buf)
-            np.greater_equal(et, c_zero, out=ev_buf)
-            ev = logical_and(ev_buf, fill1, out=evict_rows[ei])
-        n_ev = count_nonzero(ev)
-        if n_ev:
-            wb = l1_dirty_flat.take(fb, out=wb_buf)
-            logical_and(wb, ev, out=wb_rows[ei])
-            # ---- evictee -> victim cache (no dedup: L1 residency and the
-            # victim contents are disjoint by construction, exactly as on
-            # the sequential path where the dedup branch is unreachable) --
-            if victims is not None:
-                np.left_shift(et, c_tagshift, out=et)
-                sc_a[()] = s
-                np.bitwise_or(et, sc_a, out=et)
-                vslot2 = np.argmin(v_stamp_main, axis=1, out=amin2)
-                if v_insertable is None:
-                    ins = ev
-                else:
-                    # Heterogeneous group: lanes with no victim cache
-                    # divert their evictee to the dump slot.
-                    ins = logical_and(ev, v_insertable, out=vins_buf)
-                add(vslot2, ar_vrows, out=vfb)
-                logical_not(ins, out=nb)
-                copyto(vfb, v_dump_vec, where=nb)
-                vt = v_tags_flat.take(vfb, out=et2_buf)
-                np.greater_equal(vt, c_zero, out=ev_buf)
-                logical_and(ev_buf, ins, out=vevict_rows[ei])
-                v_tags_flat[vfb] = et
-                v_stamp_flat[vfb] = sc_stamp
-        # ---- L1 fill scatter (same flat index as the gathers) -------------
-        sc_a[()] = tag
-        l1_tags_flat[fb] = sc_a
-        l1_last_flat[fb] = sc_stamp
-        l1_dirty_flat[fb] = is_write
-        l1_fillt_flat[fb] = sc_stamp
-        return t64 if want_lat else None
-
-    bulk.service = service
-    return bulk
+#: Per-lane statistics the lane kernel accumulates for the measured
+#: region, one ``[port, counter, lane]`` row per name (port 0 is the
+#: I-side, 1 the D-side).  The L2 rows count the port's own L2 traffic.
+LANE_COUNTERS = (
+    "misses",
+    "bypassed",
+    "evictions",
+    "writebacks",
+    "victim_hits",
+    "victim_evictions",
+    "l2_hits",
+    "l2_evictions",
+)
 
 
 class BulkLanes:
@@ -1101,16 +775,11 @@ class BulkLanes:
     victim/L2 residency — and in victim *sizing* (padded to the largest
     lane, see :class:`VectorVictims`), but share geometry, latencies,
     and LRU policies (checked by :func:`bulk_lanes_eligible` plus the
-    batched pipeline's own config checks).
+    batched pipeline's own config checks).  :attr:`counts` holds the
+    per-lane :data:`LANE_COUNTERS` the lane kernel fills in.
     """
 
-    def __init__(
-        self,
-        hierarchies: list[MemoryHierarchy],
-        max_i_events: int,
-        max_d_events: int,
-        lat_scale: int = 1,
-    ) -> None:
+    def __init__(self, hierarchies: list[MemoryHierarchy]) -> None:
         if not hierarchies:
             raise ValueError("need at least one lane")
         self.hierarchies = list(hierarchies)
@@ -1134,159 +803,60 @@ class BulkLanes:
             2 * max(self.l1i.max_clock(), self.l1d.max_clock(), self.l2.max_clock())
             + 2
         )
-        max_victim = max(
-            self.victims_i.entries if self.victims_i is not None else 0,
-            self.victims_d.entries if self.victims_d is not None else 0,
-        )
-        scratch = {
-            "ar": np.arange(lanes),
-            "miss": np.empty(lanes, dtype=np.bool_),
-            "l2need": np.empty(lanes, dtype=np.bool_),
-            "fill2": np.empty(lanes, dtype=np.bool_),
-            "nb": np.empty(lanes, dtype=np.bool_),
-            "nb2": np.empty(lanes, dtype=np.bool_),
-            "ev": np.empty(lanes, dtype=np.bool_),
-            "wb": np.empty(lanes, dtype=np.bool_),
-            "amin1": np.empty(lanes, dtype=np.intp),
-            "amin2": np.empty(lanes, dtype=np.intp),
-            "flat_a": np.empty(lanes, dtype=np.int64),
-            "flat_b": np.empty(lanes, dtype=np.int64),
-            "flat_va": np.empty(lanes, dtype=np.int64),
-            "flat_vb": np.empty(lanes, dtype=np.int64),
-            "et": np.empty(lanes, dtype=np.int64),
-            "et2": np.empty(lanes, dtype=np.int64),
-            "t64": np.empty(lanes, dtype=np.int64),
-            "t64b": np.empty(lanes, dtype=np.int64),
-            "veq": np.empty((lanes, max_victim + 1), dtype=np.bool_),
-            "vins": np.empty(lanes, dtype=np.bool_),
-            "all_true": np.ones(lanes, dtype=np.bool_),
-        }
-        # L2 evictions recorded per port (the L2 is shared; its counters
-        # sum both ports' rows).
-        scratch_i = dict(scratch)
-        scratch_i["l2ev_rows"] = np.zeros((max_i_events + 1, lanes), dtype=np.bool_)
-        scratch_d = dict(scratch)
-        scratch_d["l2ev_rows"] = np.zeros((max_d_events + 1, lanes), dtype=np.bool_)
-        self._l2ev_i = scratch_i["l2ev_rows"]
-        self._l2ev_d = scratch_d["l2ev_rows"]
-        self.iport = _compile_bulk_port(
-            self.l1i,
-            self.l2,
-            self.victims_i,
-            hierarchies[0].iport,
-            lanes,
-            max_i_events,
-            scratch_i,
-            lat_scale,
-        )
-        self.dport = _compile_bulk_port(
-            self.l1d,
-            self.l2,
-            self.victims_d,
-            hierarchies[0].dport,
-            lanes,
-            max_d_events,
-            scratch_d,
-            lat_scale,
-        )
-
-    def mark_boundary(self) -> None:
-        """Record the warmup/measured boundary: counters reconstruct from
-        events at or after this point only (state effects keep the full
-        history, exactly like the sequential statistics reset)."""
-        self.iport.boundary_event[0] = self.iport.event_count[0]
-        self.dport.boundary_event[0] = self.dport.event_count[0]
-
-    @staticmethod
-    def _port_counters(bulk: _BulkPort, l2ev_rows, measured_accesses: int):
-        """Reconstruct one port's per-lane counters from the event rows."""
-        e0 = bulk.boundary_event[0]
-        e1 = bulk.event_count[0]
-        n_events = e1 - e0
-        hits_at_events = bulk.hit_rows[e0:e1].sum(0)
-        misses = n_events - hits_at_events
-        bypassed = 0
-        for ei, mask in bulk.bypass_events:
-            if ei >= e0:
-                bypassed = bypassed + mask.astype(np.int64)
-        l1 = {
-            "accesses": measured_accesses,
-            "misses": misses,
-            "bypassed": bypassed,
-            "evictions": bulk.evict_rows[e0:e1].sum(0),
-            "writebacks": bulk.wb_rows[e0:e1].sum(0),
-        }
-        if bulk.vhit_rows is not None:
-            vhits = bulk.vhit_rows[e0:e1].sum(0)
-            victim = {
-                "accesses": misses,
-                "hits": vhits,
-                "fills": l1["evictions"],
-                "evictions": bulk.vevict_rows[e0:e1].sum(0),
-            }
-        else:
-            vhits = 0
-            victim = None
-        l2_accesses = misses - vhits
-        l2_hits = bulk.l2hit_rows[e0:e1].sum(0)
-        l2 = {
-            "accesses": l2_accesses,
-            "hits": l2_hits,
-            "misses": l2_accesses - l2_hits,
-            "evictions": l2ev_rows[e0:e1].sum(0),
-        }
-        return l1, victim, l2
+        self.counts = np.zeros((2, len(LANE_COUNTERS), lanes), dtype=np.int64)
 
     def finalize(self, measured_i_accesses: int, measured_d_accesses: int, clock: int) -> None:
-        """Reconstruct every lane's statistics from the recorded event
-        masks and write statistics *and* cache contents back to the
-        object hierarchies (mirror of :meth:`FusedHierarchy.sync`)."""
-        l1i_c, vic_i_c, l2_i_c = self._port_counters(
-            self.iport, self._l2ev_i, measured_i_accesses
+        """Turn the measured-region counters into every lane's statistics
+        and write statistics *and* cache contents back to the object
+        hierarchies (mirror of :meth:`FusedHierarchy.sync`)."""
+        rows = [
+            dict(zip(LANE_COUNTERS, port.tolist())) for port in self.counts
+        ]
+        ports = tuple(
+            zip((measured_i_accesses, measured_d_accesses), rows)
         )
-        l1d_c, vic_d_c, l2_d_c = self._port_counters(
-            self.dport, self._l2ev_d, measured_d_accesses
-        )
-
-        def at(value, lane):
-            return int(value[lane]) if isinstance(value, np.ndarray) else int(value)
-
         for lane, hierarchy in enumerate(self.hierarchies):
-            for cache, counters in ((hierarchy.l1i, l1i_c), (hierarchy.l1d, l1d_c)):
-                stats = cache.stats
-                stats.accesses = at(counters["accesses"], lane)
-                stats.misses = at(counters["misses"], lane)
-                stats.hits = stats.accesses - stats.misses
-                stats.bypassed_fills = at(counters["bypassed"], lane)
-                stats.fills = stats.misses - stats.bypassed_fills
-                stats.evictions = at(counters["evictions"], lane)
-                stats.writebacks = at(counters["writebacks"], lane)
-            stats = hierarchy.l2.stats
-            stats.accesses = at(l2_i_c["accesses"], lane) + at(l2_d_c["accesses"], lane)
-            stats.hits = at(l2_i_c["hits"], lane) + at(l2_d_c["hits"], lane)
-            stats.misses = stats.accesses - stats.hits
-            stats.fills = stats.misses
-            stats.evictions = at(l2_i_c["evictions"], lane) + at(
-                l2_d_c["evictions"], lane
+            l2_accesses = l2_hits = l2_evictions = 0
+            sides = (
+                (hierarchy.l1i, hierarchy.victim_i, hierarchy.iport),
+                (hierarchy.l1d, hierarchy.victim_d, hierarchy.dport),
             )
+            for (cache, victim, port), (accesses, c) in zip(sides, ports):
+                misses = c["misses"][lane]
+                bypassed = c["bypassed"][lane]
+                evictions = c["evictions"][lane]
+                stats = cache.stats
+                stats.accesses = accesses
+                stats.misses = misses
+                stats.hits = accesses - misses
+                stats.bypassed_fills = bypassed
+                stats.fills = misses - bypassed
+                stats.evictions = evictions
+                stats.writebacks = c["writebacks"][lane]
+                victim_hits = 0
+                if victim is not None:
+                    victim_hits = c["victim_hits"][lane]
+                    stats = victim.stats
+                    stats.accesses = misses
+                    stats.hits = victim_hits
+                    stats.misses = misses - victim_hits
+                    stats.fills = evictions
+                    stats.evictions = c["victim_evictions"][lane]
+                    stats.bypassed_fills = 0
+                    stats.writebacks = 0
+                port_l2 = misses - victim_hits
+                port.memory_accesses = port_l2 - c["l2_hits"][lane]
+                l2_accesses += port_l2
+                l2_hits += c["l2_hits"][lane]
+                l2_evictions += c["l2_evictions"][lane]
+            stats = hierarchy.l2.stats
+            stats.accesses = l2_accesses
+            stats.hits = l2_hits
+            stats.misses = l2_accesses - l2_hits
+            stats.fills = stats.misses
+            stats.evictions = l2_evictions
             stats.bypassed_fills = 0
             stats.writebacks = 0
-            hierarchy.iport.memory_accesses = at(l2_i_c["misses"], lane)
-            hierarchy.dport.memory_accesses = at(l2_d_c["misses"], lane)
-            for victim, counters in (
-                (hierarchy.victim_i, vic_i_c),
-                (hierarchy.victim_d, vic_d_c),
-            ):
-                if victim is None:
-                    continue
-                stats = victim.stats
-                stats.accesses = at(counters["accesses"], lane)
-                stats.hits = at(counters["hits"], lane)
-                stats.misses = stats.accesses - stats.hits
-                stats.fills = at(counters["fills"], lane)
-                stats.evictions = at(counters["evictions"], lane)
-                stats.bypassed_fills = 0
-                stats.writebacks = 0
         self.l1i.sync(clock)
         self.l1d.sync(clock)
         self.l2.sync(clock)

@@ -203,33 +203,6 @@ def structural_columns(
     return columns
 
 
-def dcache_columns(
-    trace: Trace, offset_bits: int, index_bits: int, ways: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(block, set, base, tag) per instruction for one D-cache geometry —
-    pure address arithmetic, vectorised once per trace and memoised (the
-    lane-batched loop shares the columns across every lane).  Non-memory
-    rows carry garbage derived from ``mem_addr == -1`` and are never read.
-    """
-    cache = trace.__dict__.get("_dcache_columns")
-    if cache is None:
-        cache = {}
-        trace._dcache_columns = cache
-    key = (offset_bits, index_bits, ways)
-    columns = cache.get(key)
-    if columns is None:
-        blocks = np.asarray(trace.mem_addr, dtype=np.int64) >> offset_bits
-        sets = blocks & ((1 << index_bits) - 1)
-        columns = (
-            blocks.tolist(),
-            sets.tolist(),
-            (sets * ways).tolist(),
-            (blocks >> index_bits).tolist(),
-        )
-        cache[key] = columns
-    return columns
-
-
 def _schedule_key(
     config: PipelineConfig, offset_bits: int, measure_from: int, n: int
 ) -> tuple:

@@ -1,36 +1,37 @@
-"""Compiled C core for the lane-batched pipeline loop.
+"""Compiled C core for the lane-batched pipeline pass.
 
-The pure-NumPy lane loop pays ~0.3µs of ufunc dispatch per call and an
-irreducible ~15 serial calls per instruction, which floors its mega-batch
-break-even around 6-7 lanes.  This module compiles (at first use, with
-the system ``gcc``) a small C kernel that advances *all* lanes through
-the per-instruction timing recurrence — dispatch maxima, FU-pool and
-issue-port argmin-replace, commit, redirects, and the all-hit L1 probe
-fast path — and returns to Python only at the rare points that need the
-vectorised event machinery:
+This module compiles (at first use, with the system ``gcc``) a small C
+kernel that runs a whole lane-batched pass in one call.  It advances
+*all* lanes through the per-instruction timing recurrence — dispatch
+maxima, FU-pool and issue-port argmin-replace, commit, redirects — and
+services every cache access itself, lane by lane:
 
-* the warmup/measured boundary (cycle-base snapshot + counter reset),
-* an I-cache access where at least one lane misses,
-* a D-cache access where at least one lane misses (the kernel *peeks*
-  the probe before dispatching; Python runs only the vectorised cache
-  service, stores the per-lane latency vector in the ``P_DLAT`` buffer,
-  sets ``DLAT_READY``, and re-enters — the kernel then finishes the
-  instruction itself, so a miss costs one service call, not a full
-  NumPy instruction replay).
+* the L1 probe, with the recency stamp (and dirty bit) on a hit;
+* on a miss, the victim-cache swap probe (extract on hit), else the
+  shared-L2 probe with LRU refill and eviction;
+* the L1 refill: first-minimum LRU victim way, a fill bypass where the
+  lane has no usable way in the set, and evictee insertion into the
+  victim cache (lanes without one, ``insertable == 0``, drop it);
+* the latency beyond the L1 hit, added to the lane's front-end clock
+  (I-side) or to the load's completion (D-side);
+* the warmup/measured boundary: the ``cycles_base`` snapshot, after
+  which the per-lane ``int64`` counters
+  (:data:`repro.cache.engine.LANE_COUNTERS`) start counting.
 
 State is shared, not marshalled: the kernel receives one ``int64`` "ctx"
-array holding scalars, cursors, and the raw addresses of the NumPy lane
-arrays (``ndarray.ctypes.data``), so a call costs one ctypes dispatch
-(~1µs) regardless of lane count.  All arithmetic is 64-bit integer and
-every tie-break (first-minimum argmin, first-match argmax) matches the
-NumPy loop exactly, keeping results bit-identical — golden-pinned by the
-same tests that pin the NumPy path, and re-checked kernel-vs-fallback in
+array holding scalars and the raw addresses of the NumPy lane arrays
+(``ndarray.ctypes.data``) — the :class:`~repro.cache.engine.BulkLanes`
+cache and victim arrays included, which it updates in place with the
+bulk engine's stamp encoding.  All arithmetic is 64-bit integer and
+every tie-break (first-minimum argmin, first-match probe) matches the
+sequential engines, keeping results bit-identical — golden-pinned, and
+re-checked against sequential :meth:`OutOfOrderPipeline.run` in
 ``tests/cpu/test_lane_kernel.py``.
 
-The kernel is optional: no compiler, a failed build, or the environment
-override ``REPRO_NO_CKERNEL=1`` all fall back to the NumPy loop
-transparently.  Compiled objects are cached under the system temp
-directory keyed by a source hash, so rebuilds only happen when the
+The kernel is optional: with no compiler, a failed build, or the
+environment override ``REPRO_NO_CKERNEL=1``, ``run_batch`` runs every
+lane sequentially instead.  Compiled objects are cached under the system
+temp directory keyed by a source hash, so rebuilds only happen when the
 kernel source changes.
 """
 
@@ -43,26 +44,26 @@ import subprocess
 import tempfile
 import warnings
 
-__all__ = ["load", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY",
-           "RET_IACCESS", "RET_DMISS"]
+from repro.cache.engine import BIG_STAMP, LANE_COUNTERS
 
-#: Return codes (ctx[RET] after a kernel call).
-RET_DONE = 0
-RET_BOUNDARY = 1
-RET_IACCESS = 2
-RET_DMISS = 3
+__all__ = ["load", "CTX", "CTX_SLOTS", "RET_DONE"]
 
-#: ``cur_sp`` sentinel forcing a fetch-base refresh (below any real
-#: static fetch offset).
-CUR_SP_INVALID = -(1 << 62)
+#: ``ctx[RET]`` after a completed pass.
+RET_DONE = 1
 
 _SCALARS = (
-    # constants
+    # pass shape and timing constants
     "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "DHIT",
-    "IWAYS", "DWAYS", "ISTRIDE", "DSTRIDE", "NPORTS",
-    # cursors / results (mutable across calls)
-    "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET", "CNT_OUT",
-    "DLAT_READY",
+    "NPORTS", "BOUNDARY",
+    # L1 geometry: ways, set-index mask, tag shift (index bits)
+    "IWAYS", "ISETMASK", "ITAGSHIFT", "DWAYS", "DSETMASK", "DTAGSHIFT",
+    "L2WAYS", "L2SETMASK", "L2TAGSHIFT",
+    # victim caches: padded entry count (0 = none on that side), empty stamp
+    "VIENT", "VIEMPTY", "VDENT", "VDEMPTY",
+    # latencies beyond the L1 hit, scaled by WSCALE
+    "IVICLAT", "IL2LAT", "IMEMLAT", "DVICLAT", "DL2LAT", "DMEMLAT",
+    # set by the kernel
+    "RET",
 )
 _TABLES = (
     ("EXECLAT", 9),  # (latency - 1) * W per instruction class
@@ -70,14 +71,20 @@ _TABLES = (
     ("POOLW", 4),    # FU pool widths
 )
 _POINTERS = (
-    "P_CLS", "P_SPS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
-    "P_DBASES", "P_DTAGS", "P_IAIDX", "P_IABASES", "P_IATAGS",
-    "P_RDIDX", "P_RDSNEXT",
+    # per-instruction trace columns
+    "P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL", "P_DBLOCKS",
+    # front-end schedule: static fetch offsets, I-access points, redirects
+    "P_SPS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT",
+    # per-lane timing state
     "P_REG", "P_ROB", "P_IQINT", "P_IQFP",
     "P_POOL0", "P_POOL1", "P_POOL2", "P_POOL3", "P_PORTS",
-    "P_DYN", "P_FETCHBASE", "P_V",
-    "P_ITAGS", "P_ILAST", "P_DTAGS2D", "P_DLAST", "P_DDIRTY",
-    "P_EQI", "P_EQD", "P_DLAT",
+    "P_DYN", "P_FETCHBASE", "P_V", "P_CBASE",
+    # per-lane cache state (BulkLanes arrays) and counters
+    "P_ITAGS", "P_ILAST", "P_IDIRTY", "P_IFILLT",
+    "P_DTAGS", "P_DLAST", "P_DDIRTY", "P_DFILLT",
+    "P_L2TAGS", "P_L2LAST", "P_L2FILLT",
+    "P_VITAGS", "P_VISTAMP", "P_VIINS", "P_VDTAGS", "P_VDSTAMP", "P_VDINS",
+    "P_COUNTS",
 )
 
 #: Name -> ctx slot index; the C ``#define`` block is generated from this
@@ -102,6 +109,116 @@ _C_BODY = r"""
 #define I64P(k) ((int64_t *)(intptr_t)ctx[k])
 #define U8P(k) ((uint8_t *)(intptr_t)ctx[k])
 
+/* One port side: its L1, its victim cache, its latencies, its counters. */
+typedef struct {
+    int64_t *tags, *last, *fillt;
+    uint8_t *dirty;
+    int64_t ways, set_mask, tag_shift;
+    int64_t *vtags, *vstamp;
+    const uint8_t *vins;
+    int64_t vent, vempty;
+    int64_t viclat, l2lat, memlat;
+    int64_t *cnt; /* [NCOUNTERS][L] */
+} port_t;
+
+typedef struct {
+    int64_t *tags, *last, *fillt;
+    int64_t ways, set_mask, tag_shift, n;
+} l2_t;
+
+/* One lane's demand access to `block` at recency `stamp`.  Returns the
+   latency beyond the L1 hit (0 on a hit). */
+static inline int64_t access_lane(const port_t *p, const l2_t *l2,
+                                  int64_t l, int64_t L, int64_t block,
+                                  int64_t stamp, int is_write, int counting) {
+    const int64_t ways = p->ways;
+    const int64_t s = block & p->set_mask;
+    const int64_t tag = block >> p->tag_shift;
+    const int64_t off = (l * (p->set_mask + 1) + s) * ways;
+    int64_t *trow = p->tags + off;
+    int64_t *lrow = p->last + off;
+    int hit = 0;
+    for (int64_t k = 0; k < ways; k++)
+        if (trow[k] == tag) {
+            lrow[k] = stamp;
+            if (is_write) p->dirty[off + k] = 1;
+            hit = 1;
+        }
+    if (hit) return 0;
+    int64_t *cnt = p->cnt + l;
+    if (counting) cnt[C_MISSES * L]++;
+    int64_t lat;
+    int vhit = 0;
+    if (p->vent) {
+        /* victim swap probe: a hit extracts the block (slot -> empty) */
+        int64_t *vt = p->vtags + l * p->vent;
+        for (int64_t j = 0; j < p->vent; j++)
+            if (vt[j] == block) {
+                vt[j] = -1;
+                p->vstamp[l * p->vent + j] = p->vempty;
+                vhit = 1;
+                break;
+            }
+    }
+    if (vhit) {
+        if (counting) cnt[C_VICTIM_HITS * L]++;
+        lat = p->viclat;
+    } else {
+        /* shared L2 (never dirty: fills are reads) */
+        const int64_t tag2 = block >> l2->tag_shift;
+        const int64_t off2 = l * l2->n + (block & l2->set_mask) * l2->ways;
+        int64_t *t2 = l2->tags + off2;
+        int64_t *r2 = l2->last + off2;
+        int h2 = 0;
+        for (int64_t k = 0; k < l2->ways; k++)
+            if (t2[k] == tag2) { r2[k] = stamp; h2 = 1; }
+        if (h2) {
+            if (counting) cnt[C_L2_HITS * L]++;
+            lat = p->l2lat;
+        } else {
+            int64_t w2 = 0, b2 = r2[0];
+            for (int64_t k = 1; k < l2->ways; k++)
+                if (r2[k] < b2) { b2 = r2[k]; w2 = k; }
+            if (counting && t2[w2] >= 0) cnt[C_L2_EVICTIONS * L]++;
+            t2[w2] = tag2;
+            r2[w2] = stamp;
+            l2->fillt[off2 + w2] = stamp;
+            lat = p->memlat;
+        }
+    }
+    /* L1 refill: first-minimum stamp; BIG_STAMP there = no usable way */
+    int64_t w = 0, bw = lrow[0];
+    for (int64_t k = 1; k < ways; k++)
+        if (lrow[k] < bw) { bw = lrow[k]; w = k; }
+    if (bw >= BIG_STAMP_C) {
+        if (counting) cnt[C_BYPASSED * L]++;
+        return lat;
+    }
+    const int64_t evicted = trow[w];
+    if (evicted >= 0) {
+        if (counting) {
+            cnt[C_EVICTIONS * L]++;
+            if (p->dirty[off + w]) cnt[C_WRITEBACKS * L]++;
+        }
+        if (p->vent && p->vins[l]) {
+            /* evictee -> victim cache: the oldest (or an empty) slot */
+            int64_t *vt = p->vtags + l * p->vent;
+            int64_t *vs = p->vstamp + l * p->vent;
+            int64_t j = 0, bj = vs[0];
+            for (int64_t k = 1; k < p->vent; k++)
+                if (vs[k] < bj) { bj = vs[k]; j = k; }
+            if (counting && vt[j] >= 0) cnt[C_VICTIM_EVICTIONS * L]++;
+            vt[j] = (evicted << p->tag_shift) | s;
+            vs[j] = stamp;
+        }
+    }
+    trow[w] = tag;
+    lrow[w] = stamp;
+    p->dirty[off + w] = (uint8_t)is_write;
+    p->fillt[off + w] = stamp;
+    return lat;
+}
+
 void repro_run_lanes(int64_t *ctx) {
     const int64_t n = ctx[N];
     const int64_t L = ctx[NLANES];
@@ -111,27 +228,22 @@ void repro_run_lanes(int64_t *ctx) {
     const int64_t fdelay = ctx[FDELAY];
     const int64_t K = ctx[KSTAMP];
     const int64_t dhit = ctx[DHIT];
-    const int64_t iways = ctx[IWAYS];
-    const int64_t dways = ctx[DWAYS];
-    const int64_t istride = ctx[ISTRIDE];
-    const int64_t dstride = ctx[DSTRIDE];
     const int64_t nports = ctx[NPORTS];
+    const int64_t boundary = ctx[BOUNDARY];
     const int64_t *execlat = ctx + EXECLAT;
     const int64_t *fuof = ctx + FUOF;
     const int64_t *poolw = ctx + POOLW;
 
     const int64_t *cls_c = I64P(P_CLS);
-    const int64_t *sps_c = I64P(P_SPS);
     const int64_t *src1 = I64P(P_SRC1);
     const int64_t *src2 = I64P(P_SRC2);
     const int64_t *dest = I64P(P_DEST);
     const int64_t *robcol = I64P(P_ROBCOL);
     const int64_t *iqcol = I64P(P_IQCOL);
-    const int64_t *dbases = I64P(P_DBASES);
-    const int64_t *dtagc = I64P(P_DTAGS);
+    const int64_t *dblocks = I64P(P_DBLOCKS);
+    const int64_t *sps_c = I64P(P_SPS);
     const int64_t *ia_idx = I64P(P_IAIDX);
-    const int64_t *ia_bases = I64P(P_IABASES);
-    const int64_t *ia_tags = I64P(P_IATAGS);
+    const int64_t *ia_lines = I64P(P_IALINES);
     const int64_t *rd_idx = I64P(P_RDIDX);
     const int64_t *rd_snext = I64P(P_RDSNEXT);
     int64_t *reg = I64P(P_REG);
@@ -144,83 +256,53 @@ void repro_run_lanes(int64_t *ctx) {
     int64_t *dyn = I64P(P_DYN);
     int64_t *fetch_base = I64P(P_FETCHBASE);
     int64_t *v = I64P(P_V);
-    const int64_t *itags = I64P(P_ITAGS);
-    int64_t *ilast = I64P(P_ILAST);
-    const int64_t *dtags = I64P(P_DTAGS2D);
-    int64_t *dlast = I64P(P_DLAST);
-    uint8_t *ddirty = U8P(P_DDIRTY);
-    uint8_t *eqi = U8P(P_EQI);
-    uint8_t *eqd = U8P(P_EQD);
-    const int64_t *dlat = I64P(P_DLAT);
+    int64_t *cycles_base = I64P(P_CBASE);
+    int64_t *counts = I64P(P_COUNTS);
 
-    int64_t i = ctx[I_CUR];
-    int64_t ia_cur = ctx[IA_CUR];
-    int64_t rd_cur = ctx[RD_CUR];
-    int64_t cur_sp = ctx[CUR_SP];
-    const int64_t boundary = ctx[BOUNDARY];
-    int64_t next_ia = ia_idx[ia_cur];
-    int64_t next_rd = rd_idx[rd_cur];
-    int64_t ret = RET_DONE_C;
-    int64_t cnt = 0;
-    int64_t pending_dlat = ctx[DLAT_READY];
+    const l2_t l2 = {I64P(P_L2TAGS), I64P(P_L2LAST), I64P(P_L2FILLT),
+                     ctx[L2WAYS], ctx[L2SETMASK], ctx[L2TAGSHIFT],
+                     (ctx[L2SETMASK] + 1) * ctx[L2WAYS]};
+    const port_t ip = {I64P(P_ITAGS), I64P(P_ILAST), I64P(P_IFILLT),
+                       U8P(P_IDIRTY), ctx[IWAYS], ctx[ISETMASK],
+                       ctx[ITAGSHIFT], I64P(P_VITAGS), I64P(P_VISTAMP),
+                       U8P(P_VIINS), ctx[VIENT], ctx[VIEMPTY],
+                       ctx[IVICLAT], ctx[IL2LAT], ctx[IMEMLAT], counts};
+    const port_t dp = {I64P(P_DTAGS), I64P(P_DLAST), I64P(P_DFILLT),
+                       U8P(P_DDIRTY), ctx[DWAYS], ctx[DSETMASK],
+                       ctx[DTAGSHIFT], I64P(P_VDTAGS), I64P(P_VDSTAMP),
+                       U8P(P_VDINS), ctx[VDENT], ctx[VDEMPTY],
+                       ctx[DVICLAT], ctx[DL2LAT], ctx[DMEMLAT],
+                       counts + NCOUNTERS * L};
 
-    for (; i < n; i++) {
-        if (i == boundary) { ret = RET_BOUNDARY_C; goto save; }
+    int64_t ia_cur = 0, rd_cur = 0;
+    int64_t next_ia = ia_idx[0];
+    int64_t next_rd = rd_idx[0];
+    int64_t cur_sp = CUR_SP_INVALID_C;
+    int counting = boundary < 0;
+
+    for (int64_t i = 0; i < n; i++) {
+        if (i == boundary) {
+            /* measured region starts: snapshot the committed cycle count
+               ((v - 1) // W, v >= 1 here) and start counting */
+            for (int64_t l = 0; l < L; l++) cycles_base[l] = (v[l] - 1) / W;
+            counting = 1;
+        }
         if (i == next_ia) {
-            /* ---- I-cache access point: probe every lane's set ------ */
-            const int64_t base = ia_bases[ia_cur];
-            const int64_t tag = ia_tags[ia_cur];
-            cnt = 0;
-            for (int64_t l = 0; l < L; l++) {
-                const int64_t *trow = itags + l * istride + base;
-                uint8_t *erow = eqi + l * iways;
-                for (int64_t k = 0; k < iways; k++) {
-                    uint8_t e = trow[k] == tag;
-                    erow[k] = e;
-                    cnt += e;
-                }
-            }
-            if (cnt != L) { ret = RET_IACCESS_C; goto save; }
+            /* ---- I-cache access point: every lane, misses serviced --- */
+            const int64_t line = ia_lines[ia_cur];
             const int64_t stamp = K + 2 * i;
             for (int64_t l = 0; l < L; l++) {
-                const uint8_t *erow = eqi + l * iways;
-                int64_t *lrow = ilast + l * istride + base;
-                for (int64_t k = 0; k < iways; k++)
-                    if (erow[k]) lrow[k] = stamp;
+                const int64_t lat =
+                    access_lane(&ip, &l2, l, L, line, stamp, 0, counting);
+                if (lat) {
+                    dyn[l] += lat;
+                    cur_sp = CUR_SP_INVALID_C; /* refresh fetch base */
+                }
             }
             ia_cur++;
             next_ia = ia_idx[ia_cur];
         }
         const int64_t cls = cls_c[i];
-        int64_t dbase = 0;
-        int dres = 0;
-        if (cls == 4 || cls == 5) {
-            if (pending_dlat) {
-                /* re-entry after a D-miss: the vectorised service has
-                   already refilled, stamped, and (for loads) left the
-                   per-lane latency vector in `dlat` — finish the
-                   instruction here instead of a NumPy replay. */
-                dres = 1;
-                pending_dlat = 0;
-            } else {
-                /* ---- D-probe peek *before* dispatch: on any-lane miss
-                   Python runs the service, then re-enters with
-                   DLAT_READY set ------------------------------------ */
-                dbase = dbases[i];
-                const int64_t tag = dtagc[i];
-                cnt = 0;
-                for (int64_t l = 0; l < L; l++) {
-                    const int64_t *trow = dtags + l * dstride + dbase;
-                    uint8_t *erow = eqd + l * dways;
-                    for (int64_t k = 0; k < dways; k++) {
-                        uint8_t e = trow[k] == tag;
-                        erow[k] = e;
-                        cnt += e;
-                    }
-                }
-                if (cnt != L) { ret = RET_DMISS_C; goto save; }
-            }
-        }
         const int64_t sp = sps_c[i];
         if (sp != cur_sp) {
             const int64_t off = sp * W;
@@ -240,6 +322,7 @@ void repro_run_lanes(int64_t *ctx) {
         const int redirect = i == next_rd;
         const int64_t rd_add =
             redirect ? (1 + fdelay - rd_snext[rd_cur]) * W : 0;
+        const int64_t dblock = dblocks[i];
         const int64_t stamp_d = K + 2 * i + 1;
         for (int64_t l = 0; l < L; l++) {
             /* dispatch: fetch/ROB/IQ/operand readiness maxima -------- */
@@ -272,29 +355,14 @@ void repro_run_lanes(int64_t *ctx) {
             pl[bi] = issued;
             pt[qi] = issued;
             iqrow[l] = issued;
-            /* execute / complete (probe all-hit, or serviced miss) --- */
+            /* execute / complete, D-accesses serviced in place ------- */
             int64_t cw;
             if (cls == 4) {
-                cw = issued + dhit;
-                if (dres) {
-                    cw += dlat[l];
-                } else {
-                    const uint8_t *erow = eqd + l * dways;
-                    int64_t *lrow = dlast + l * dstride + dbase;
-                    for (int64_t k = 0; k < dways; k++)
-                        if (erow[k]) lrow[k] = stamp_d;
-                }
+                cw = issued + dhit +
+                     access_lane(&dp, &l2, l, L, dblock, stamp_d, 0, counting);
             } else if (cls == 5) {
+                access_lane(&dp, &l2, l, L, dblock, stamp_d, 1, counting);
                 cw = issued; /* retires via the store buffer */
-                if (!dres) {
-                    const uint8_t *erow = eqd + l * dways;
-                    const int64_t off = l * dstride + dbase;
-                    for (int64_t k = 0; k < dways; k++)
-                        if (erow[k]) {
-                            dlast[off + k] = stamp_d;
-                            ddirty[off + k] = 1;
-                        }
-                }
             } else {
                 cw = issued + elat;
             }
@@ -316,25 +384,20 @@ void repro_run_lanes(int64_t *ctx) {
             cur_sp = CUR_SP_INVALID_C; /* dyn moved: refresh fetch base */
         }
     }
-save:
-    ctx[I_CUR] = i;
-    ctx[IA_CUR] = ia_cur;
-    ctx[RD_CUR] = rd_cur;
-    ctx[CUR_SP] = cur_sp;
-    ctx[CNT_OUT] = cnt; /* hit-lane count of the event being returned */
-    ctx[DLAT_READY] = 0;
-    ctx[RET] = ret;
+    ctx[RET] = RET_DONE_C;
 }
 """
 
 
 def _source() -> str:
     defines = [f"#define {name} {slot}" for name, slot in CTX.items()]
+    defines += [
+        f"#define C_{name.upper()} {j}" for j, name in enumerate(LANE_COUNTERS)
+    ]
+    defines.append(f"#define NCOUNTERS {len(LANE_COUNTERS)}")
     defines.append(f"#define RET_DONE_C {RET_DONE}")
-    defines.append(f"#define RET_BOUNDARY_C {RET_BOUNDARY}")
-    defines.append(f"#define RET_IACCESS_C {RET_IACCESS}")
-    defines.append(f"#define RET_DMISS_C {RET_DMISS}")
-    defines.append(f"#define CUR_SP_INVALID_C (-(INT64_C(1) << 62))")
+    defines.append(f"#define BIG_STAMP_C INT64_C({BIG_STAMP})")
+    defines.append("#define CUR_SP_INVALID_C (-(INT64_C(1) << 62))")
     return "\n".join(defines) + "\n" + _C_BODY
 
 
@@ -345,16 +408,16 @@ _warned = False
 
 def _warn_fallback(message: str) -> None:
     """One warning per process when the kernel is unavailable: a broken
-    toolchain in one pool worker used to mean a *silent* NumPy fallback
-    (and a mysteriously slow campaign) — now the gcc stderr tail names
-    the cause the first time it happens."""
+    toolchain in one pool worker would otherwise mean a *silent*
+    sequential fallback (and a mysteriously slow campaign) — the gcc
+    stderr tail names the cause the first time it happens."""
     global _warned
     if _warned:
         return
     _warned = True
     warnings.warn(
-        f"{message}; falling back to the bit-identical NumPy lane loop "
-        "(slower). Set REPRO_NO_CKERNEL=1 to silence this warning.",
+        f"{message}; lane batches fall back to bit-identical sequential "
+        "runs (slower). Set REPRO_NO_CKERNEL=1 to silence this warning.",
         RuntimeWarning,
         stacklevel=4,
     )

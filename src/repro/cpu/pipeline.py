@@ -59,7 +59,6 @@ from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
 from repro.cpu.config import PipelineConfig
 from repro.cpu.frontend import (
     REG_FILE_SLOTS,
-    dcache_columns,
     frontend_schedule,
     operand_columns,
     structural_columns,
@@ -789,7 +788,7 @@ class OutOfOrderPipeline:
         predictors from their pristine construction state), a positive
         front-end depth (occupancy guards are dropped exactly as in the
         scalar fast loop), no prefetchers (they hook demand hits, which
-        the batched loop services vectorised), and folds in the shared
+        the lane kernel does not model), and folds in the shared
         pipeline config, the latency set, the per-level geometries, and
         the bulk engine's own coverage signature (LRU replacement,
         fully-enabled L2 — see
@@ -837,19 +836,19 @@ class OutOfOrderPipeline:
 
         Per-lane state (flat cache tags/recency, victim entries,
         ROB/IQ/FU occupancy, statistics) lives in NumPy arrays with a
-        lane axis; the per-instruction timing recurrence is evaluated for
-        every lane at once, L1 probes are one vectorised set comparison,
-        and miss *events* (usually shared by many lanes) are serviced
-        with lane-masked vector operations.  Results are bit-identical to
-        running each pipeline sequentially (golden-pinned).
+        lane axis, and one call into the compiled lane kernel
+        (:mod:`repro.cpu.lane_kernel`) advances every lane through the
+        whole trace, cache misses included.  Results are bit-identical
+        to running each pipeline sequentially (golden-pinned).
 
         Lanes need not share a *configuration*: any pipelines with equal
         non-``None`` :meth:`batch_key` signatures batch together (mixed
         schemes, mixed victim contents *and sizings* — 0/8/16-entry
         lanes pad to one slot axis — fault-free baselines).  Batches
-        the vectorised path cannot take — mixed latencies/geometries,
-        prefetchers, non-LRU policies, reused pipelines, a single lane —
-        fall back to sequential runs transparently.
+        the kernel cannot take — mixed latencies/geometries,
+        prefetchers, non-LRU policies, reused pipelines, a single lane,
+        or no compiled kernel at all — run each lane through
+        :meth:`run` instead.
         """
         pipelines = list(pipelines)
         if not pipelines:
@@ -858,108 +857,26 @@ class OutOfOrderPipeline:
             len(pipelines) < 2
             or len(trace) == 0
             or not OutOfOrderPipeline._can_run_batch(pipelines)
+            or lane_kernel.load() is None
         ):
             return [p.run(trace, measure_from) for p in pipelines]
         return OutOfOrderPipeline._run_lanes(pipelines, trace, measure_from)
 
     @staticmethod
-    def _kernel_context(trace, cfg, lanes, env):
-        """Pack the lane-batched loop's state for the compiled C kernel.
-
-        Returns ``(ctx, keepalive)``: the ``int64`` context array holding
-        every scalar, cursor, and raw array address the kernel reads (see
-        :mod:`repro.cpu.lane_kernel` for the layout), plus the list of
-        freshly-created arrays whose addresses it contains — the caller
-        must keep that list alive for the duration of the run.  ``env``
-        is :meth:`_run_lanes`'s local namespace (the arrays are shared,
-        not copied: Python event tails and the kernel mutate the same
-        state).  Per-trace columns are converted to int64 arrays once and
-        memoised on the trace/schedule objects.
-        """
-        C = lane_kernel.CTX
-
-        def i64(x):
-            return np.ascontiguousarray(np.asarray(x, dtype=np.int64))
-
-        src1s, src2s, dests = env["src1s"], env["src2s"], env["dests"]
-        key = (
-            cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries,
-            env["d_shift"], env["d_geom"].index_bits, env["d_geom"].ways,
-        )
-        cache = trace.__dict__.setdefault("_kernel_columns_i64", {})
-        cols = cache.get(key)
-        if cols is None:
-            cols = tuple(
-                i64(c)
-                for c in (
-                    trace.iclass, src1s, src2s, dests,
-                    env["rob_col"], env["iq_col"],
-                    env["d_bases"], env["d_tagcol"],
-                )
-            )
-            cache[key] = cols
-        cls_a, src1_a, src2_a, dest_a, robcol_a, iqcol_a, dbase_a, dtag_a = cols
-
-        # Sparse per-schedule columns are small (one entry per I-access /
-        # redirect); converting per call keeps the cache simple.
-        keepalive = [
-            i64(env["sps"]), i64(env["ia_indices"]), i64(env["ia_bases"]),
-            i64(env["ia_tags"]), i64(env["rd_indices"]),
-            i64(env["rd_static_next"]),
-        ]
-        sps_a, iaidx_a, iabase_a, iatag_a, rdidx_a, rdnext_a = keepalive
-
-        ctx = np.zeros(lane_kernel.CTX_SLOTS, dtype=np.int64)
-        commit_width = cfg.commit_width
-        ctx[C["N"]] = len(trace)
-        ctx[C["NLANES"]] = env["n_lanes"]
-        ctx[C["WSCALE"]] = commit_width
-        ctx[C["WM1"]] = commit_width - 1
-        ctx[C["WPOW2"]] = int(env["w_pow2"])
-        ctx[C["FDELAY"]] = env["frontend_delay"]
-        ctx[C["KSTAMP"]] = env["K"]
-        ctx[C["DHIT"]] = env["d_hit_adder"]
-        ctx[C["IWAYS"]] = env["i_ways"]
-        ctx[C["DWAYS"]] = env["d_ways"]
-        ctx[C["ISTRIDE"]] = lanes.l1i.n + 1
-        ctx[C["DSTRIDE"]] = lanes.l1d.n + 1
-        ctx[C["NPORTS"]] = cfg.issue_width
-        ctx[C["CUR_SP"]] = lane_kernel.CUR_SP_INVALID
-        ctx[C["BOUNDARY"]] = env["boundary"]
-        for j, lat in enumerate(env["exec_lat"]):
-            ctx[C["EXECLAT"] + j] = (lat - 1) * commit_width
-        for j, fu in enumerate(env["fu_of"]):
-            ctx[C["FUOF"] + j] = fu
-        for j, pool in enumerate(env["pools"]):
-            ctx[C["POOLW"] + j] = pool.shape[1]
-            ctx[C[f"P_POOL{j}"]] = pool.ctypes.data
-        for name, arr in (
-            ("P_CLS", cls_a), ("P_SPS", sps_a), ("P_SRC1", src1_a),
-            ("P_SRC2", src2_a), ("P_DEST", dest_a), ("P_ROBCOL", robcol_a),
-            ("P_IQCOL", iqcol_a), ("P_DBASES", dbase_a), ("P_DTAGS", dtag_a),
-            ("P_IAIDX", iaidx_a), ("P_IABASES", iabase_a),
-            ("P_IATAGS", iatag_a), ("P_RDIDX", rdidx_a),
-            ("P_RDSNEXT", rdnext_a),
-            ("P_REG", env["reg_ready"]), ("P_ROB", env["rob_ring"]),
-            ("P_IQINT", env["int_iq"]), ("P_IQFP", env["fp_iq"]),
-            ("P_PORTS", env["ports"]), ("P_DYN", env["dyn"]),
-            ("P_FETCHBASE", env["fetch_base"]), ("P_V", env["v"]),
-            ("P_ITAGS", env["i_tags2d"]), ("P_ILAST", env["i_last2d"]),
-            ("P_DTAGS2D", env["d_tags2d"]), ("P_DLAST", env["d_last2d"]),
-            ("P_DDIRTY", env["d_dirty2d"]),
-            ("P_EQI", env["eqbuf_i"]), ("P_EQD", env["eqbuf_d"]),
-            ("P_DLAT", env["dlat_buf"]),
-        ):
-            ctx[C[name]] = arr.ctypes.data
-        return ctx, keepalive
-
-    @staticmethod
-    def _run_lanes(
+    def _kernel_context(
         pipelines: "Sequence[OutOfOrderPipeline]",
         trace: Trace,
         measure_from: int,
-    ) -> list[SimResult]:
-        """Vectorised multi-lane mirror of :meth:`_run_fast`.
+    ):
+        """Set up one lane-batched pass for the compiled kernel.
+
+        Returns ``(ctx, arrays, lanes, schedule)``: the ``int64`` context
+        array holding every scalar and raw array address the kernel
+        reads (see :mod:`repro.cpu.lane_kernel` for the layout); the
+        ``P_*`` slot name -> array map those addresses come from, which
+        the caller must keep alive for the duration of the call; the
+        :class:`~repro.cache.engine.BulkLanes` cache state the kernel
+        updates in place; and the front-end schedule.
 
         Every timing quantity is tracked *scaled by the commit width W*
         (dispatch, ready, issue, completion all stay multiples of W), and
@@ -967,395 +884,162 @@ class OutOfOrderPipeline:
         The three-way commit branch then collapses to ``v' = max(v,
         comp_scaled) + 1`` — algebraically identical to the scalar rule
         for ``slots`` in ``1..W`` — and the ROB ring stores the scaled
-        dispatch bound ``(last_commit + 1) * W`` directly, computed from
-        the pre-increment ``v`` as ``(v | (W-1)) + 1`` when W is a power
-        of two (one OR against the max instead of a divide chain).
-        FU pools and issue ports are earliest-free multisets updated by
-        argmin-replace (multiset-equivalent to the scalar loop's
-        heapreplace).  Cache recency uses the bulk engine's trace-static
-        stamps (see :mod:`repro.cache.engine`), so no per-lane clocks are
-        maintained.  Cycle counts are recovered once at the end as
-        ``(v - 1) // W``.
+        dispatch bound ``(last_commit + 1) * W`` directly.  FU pools and
+        issue ports are earliest-free multisets updated by argmin-replace
+        (multiset-equivalent to the scalar loop's heapreplace).  Cache
+        recency uses the bulk engine's trace-static stamps (see
+        :mod:`repro.cache.engine`), so no per-lane clocks are maintained.
         """
         cfg = pipelines[0].config
         hier0 = pipelines[0].hierarchy
-        n = len(trace)
         n_lanes = len(pipelines)
+        C = lane_kernel.CTX
+        I64 = np.int64
+
+        def i64(x):
+            return np.ascontiguousarray(np.asarray(x, dtype=I64))
+
+        i_geom = hier0.l1i.geometry
+        d_geom = hier0.l1d.geometry
+        l2_geom = hier0.l2.geometry
+        commit_width = cfg.commit_width
+        frontend_delay = cfg.frontend_stages + hier0.latencies.l1i
+        schedule = frontend_schedule(trace, cfg, i_geom.offset_bits, measure_from)
+
+        # Per-trace columns are converted once and memoised on the trace.
+        key = (
+            cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries,
+            d_geom.offset_bits,
+        )
+        memo = trace.__dict__.setdefault("_kernel_columns_i64", {})
+        cols = memo.get(key)
+        if cols is None:
+            rob_col, iq_col = structural_columns(
+                trace, cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries
+            )
+            cols = tuple(
+                i64(c)
+                for c in (trace.iclass, *operand_columns(trace), rob_col, iq_col)
+            ) + (i64(trace.mem_addr) >> d_geom.offset_bits,)
+            memo[key] = cols
+        arrays = dict(
+            zip(
+                ("P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL",
+                 "P_IQCOL", "P_DBLOCKS"),
+                cols,
+            )
+        )
+        # Sparse per-schedule columns are small (one entry per I-access /
+        # redirect); converting per call keeps the memo simple.
+        arrays["P_SPS"] = i64(schedule.static_fetch_list)
+        arrays["P_IAIDX"] = i64(schedule.iaccess_index)
+        arrays["P_IALINES"] = i64(schedule.iaccess_line)
+        arrays["P_RDIDX"] = i64(schedule.redirect_index)
+        arrays["P_RDSNEXT"] = i64(schedule.redirect_static_next)
+
+        arrays["P_REG"] = np.zeros((REG_FILE_SLOTS, n_lanes), I64)
+        arrays["P_ROB"] = np.zeros((cfg.rob_entries, n_lanes), I64)
+        arrays["P_IQINT"] = np.zeros((cfg.iq_int_entries, n_lanes), I64)
+        arrays["P_IQFP"] = np.zeros((cfg.iq_fp_entries, n_lanes), I64)
+        pool_widths = (
+            cfg.int_alu_units, cfg.int_mul_units, cfg.fp_alu_units,
+            cfg.fp_mul_units,
+        )
+        for j, width in enumerate(pool_widths):
+            arrays[f"P_POOL{j}"] = np.zeros((n_lanes, width), I64)
+        arrays["P_PORTS"] = np.zeros((n_lanes, cfg.issue_width), I64)
+        arrays["P_DYN"] = np.full(n_lanes, frontend_delay * commit_width, I64)
+        arrays["P_FETCHBASE"] = np.zeros(n_lanes, I64)
+        arrays["P_V"] = np.zeros(n_lanes, I64)  # last_commit * W + slots
+        arrays["P_CBASE"] = np.zeros(n_lanes, I64)
+
+        lanes = BulkLanes([p.hierarchy for p in pipelines])
+        for side, cache in (("I", lanes.l1i), ("D", lanes.l1d)):
+            arrays[f"P_{side}TAGS"] = cache.tags
+            arrays[f"P_{side}LAST"] = cache.last
+            arrays[f"P_{side}DIRTY"] = cache.dirty
+            arrays[f"P_{side}FILLT"] = cache.fillt
+        arrays["P_L2TAGS"] = lanes.l2.tags
+        arrays["P_L2LAST"] = lanes.l2.last
+        arrays["P_L2FILLT"] = lanes.l2.fillt
+        arrays["P_COUNTS"] = lanes.counts
+
+        ctx = np.zeros(lane_kernel.CTX_SLOTS, dtype=I64)
+        ctx[C["N"]] = len(trace)
+        ctx[C["NLANES"]] = n_lanes
+        ctx[C["WSCALE"]] = commit_width
+        ctx[C["WM1"]] = commit_width - 1
+        ctx[C["WPOW2"]] = int(commit_width & (commit_width - 1) == 0)
+        ctx[C["FDELAY"]] = frontend_delay
+        ctx[C["KSTAMP"]] = lanes.stamp_base
+        ctx[C["DHIT"]] = (hier0.latencies.l1d - 1) * commit_width
+        ctx[C["NPORTS"]] = cfg.issue_width
+        ctx[C["BOUNDARY"]] = measure_from if measure_from > 0 else -1
+        for prefix, geom in (("I", i_geom), ("D", d_geom), ("L2", l2_geom)):
+            ctx[C[f"{prefix}WAYS"]] = geom.ways
+            ctx[C[f"{prefix}SETMASK"]] = geom.num_sets - 1
+            ctx[C[f"{prefix}TAGSHIFT"]] = geom.index_bits
+        for side, victims, port in (
+            ("I", lanes.victims_i, hier0.iport),
+            ("D", lanes.victims_d, hier0.dport),
+        ):
+            ctx[C[f"{side}VICLAT"]] = port.victim_latency * commit_width
+            ctx[C[f"{side}L2LAT"]] = port.l2_latency * commit_width
+            ctx[C[f"{side}MEMLAT"]] = port.memory_latency * commit_width
+            if victims is not None:
+                ctx[C[f"V{side}ENT"]] = victims.entries
+                ctx[C[f"V{side}EMPTY"]] = victims.empty_stamp
+                arrays[f"P_V{side}TAGS"] = victims.tags
+                arrays[f"P_V{side}STAMP"] = victims.stamp
+                arrays[f"P_V{side}INS"] = victims.insertable
+        exec_lat = (EXECUTION_LATENCY[InstrClass(c)] for c in range(9))
+        for j, lat in enumerate(exec_lat):
+            ctx[C["EXECLAT"] + j] = (lat - 1) * commit_width
+        for j, fu in enumerate((0, 1, 2, 3, 0, 0, 0, 0, 0)):
+            ctx[C["FUOF"] + j] = fu
+        for j, width in enumerate(pool_widths):
+            ctx[C["POOLW"] + j] = width
+        for name, arr in arrays.items():
+            # The kernel reads the masks as uint8 and all else as int64.
+            want = np.bool_ if name.endswith(("DIRTY", "INS")) else I64
+            if arr.dtype != want or not arr.flags.c_contiguous:
+                raise ValueError(f"{name} must be a C-contiguous {np.dtype(want)} array")
+            ctx[C[name]] = arr.ctypes.data
+        return ctx, arrays, lanes, schedule
+
+    @staticmethod
+    def _run_lanes(
+        pipelines: "Sequence[OutOfOrderPipeline]",
+        trace: Trace,
+        measure_from: int,
+    ) -> list[SimResult]:
+        """One lane-batched pass: a single call into the compiled lane
+        kernel, which runs every lane over the whole trace; then the
+        statistics and cache contents are written back to each lane's
+        hierarchy.  Cycle counts are recovered as ``(v - 1) // W`` minus
+        the boundary snapshot."""
+        n = len(trace)
         if not 0 <= measure_from < n:
             raise ValueError(
                 f"measure_from must be in [0, {n}), got {measure_from}"
             )
-
-        i_shift = hier0.l1i.geometry.offset_bits
-        d_shift = hier0.l1d.geometry.offset_bits
-        l1i_lat = hier0.latencies.l1i
-        l1d_lat = hier0.latencies.l1d
-        frontend_delay = cfg.frontend_stages + l1i_lat
-
-        schedule = frontend_schedule(trace, cfg, i_shift, measure_from)
-        sps = schedule.static_fetch_list
-        ia_indices = schedule.iaccess_index
-        rd_indices = schedule.redirect_index
-        rd_static_next = schedule.redirect_static_next
-        classes = trace.iclass
-        src1s, src2s, dests = operand_columns(trace)
-        rob_col, iq_col = structural_columns(
-            trace, cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries
-        )
-        d_geom = hier0.l1d.geometry
-        l2_geom = hier0.l2.geometry
-        d_blocks, d_sets, d_bases, d_tagcol = dcache_columns(
-            trace, d_shift, d_geom.index_bits, d_geom.ways
-        )
-        _, _, d2_bases, d2_tagcol = dcache_columns(
-            trace, d_shift, l2_geom.index_bits, l2_geom.ways
-        )
-        # I-cache access points: (set, base, tag) per point, both levels.
-        i_geom = hier0.l1i.geometry
-        ia_lines = schedule.iaccess_line
-        _lines = np.asarray(ia_lines, dtype=np.int64)
-        _sets = _lines & (i_geom.num_sets - 1)
-        ia_sets = _sets.tolist()
-        ia_bases = (_sets * i_geom.ways).tolist()
-        ia_tags = (_lines >> i_geom.index_bits).tolist()
-        ia2_bases = ((_lines & (l2_geom.num_sets - 1)) * l2_geom.ways).tolist()
-        ia2_tags = (_lines >> l2_geom.index_bits).tolist()
-
-        _cls_arr = np.asarray(classes, dtype=np.int64)
-        total_d = int(np.count_nonzero((_cls_arr == 4) | (_cls_arr == 5)))
-        total_i = len(ia_lines)
-
-        commit_width = cfg.commit_width
-        lanes = BulkLanes(
-            [p.hierarchy for p in pipelines],
-            total_i,
-            total_d,
-            lat_scale=commit_width,
-        )
-        i_tags2d = lanes.l1i.tags
-        i_last2d = lanes.l1i.last
-        i_ways = lanes.l1i.ways
-        d_tags2d = lanes.l1d.tags
-        d_last2d = lanes.l1d.last
-        d_dirty2d = lanes.l1d.dirty
-        d_ways = lanes.l1d.ways
-        service_i = lanes.iport.service
-        service_d = lanes.dport.service
-        K = lanes.stamp_base
-
-        exec_lat = tuple(EXECUTION_LATENCY[InstrClass(c)] for c in range(9))
-        fu_of = (0, 1, 2, 3, 0, 0, 0, 0, 0)
-
-        I64 = np.int64
-        reg_ready = np.zeros((REG_FILE_SLOTS, n_lanes), I64)
-        rob_ring = np.zeros((cfg.rob_entries, n_lanes), I64)  # stores v
-        int_iq = np.zeros((cfg.iq_int_entries, n_lanes), I64)
-        fp_iq = np.zeros((cfg.iq_fp_entries, n_lanes), I64)
-        # Row views are reused thousands of times; list indexing beats
-        # re-deriving an ndarray view every instruction.
-        reg_rows = [reg_ready[j] for j in range(REG_FILE_SLOTS)]
-        rob_rows = [rob_ring[j] for j in range(cfg.rob_entries)]
-        int_iq_rows = [int_iq[j] for j in range(cfg.iq_int_entries)]
-        fp_iq_rows = [fp_iq[j] for j in range(cfg.iq_fp_entries)]
-        ar = np.arange(n_lanes)
-        pools = []
-        pool_flat = []
-        pool_aridx = []
-        pool_single = []
-        for width in (
-            cfg.int_alu_units,
-            cfg.int_mul_units,
-            cfg.fp_alu_units,
-            cfg.fp_mul_units,
-        ):
-            arr = np.zeros((n_lanes, width), I64)
-            pools.append(arr)
-            pool_flat.append(arr.reshape(-1))
-            pool_aridx.append(ar * width)
-            pool_single.append(arr[:, 0] if width == 1 else None)
-        n_ports = cfg.issue_width
-        ports = np.zeros((n_lanes, n_ports), I64)
-        ports_flat = ports.reshape(-1)
-        ports_ar = ar * n_ports
-        ports_single = ports[:, 0] if n_ports == 1 else None
-
-        dyn = np.full(n_lanes, frontend_delay * commit_width, I64)
-        fetch_base = np.empty(n_lanes, I64)
-        cur_sp = None
-        v = np.zeros(n_lanes, I64)  # last_commit * W + commit_slots
-        cycles_base = np.zeros(n_lanes, I64)
-        disp = np.empty(n_lanes, I64)
-        issued = np.empty(n_lanes, I64)
-        comp = np.empty(n_lanes, I64)
-        t = np.empty(n_lanes, I64)
-        tb = np.empty(n_lanes, I64)
-        idx64 = np.empty(n_lanes, I64)
-        colbuf = np.empty(n_lanes, I64)
-        w = commit_width  # timing scale factor (see docstring)
-        eqbuf_i = np.empty((n_lanes, i_ways), np.bool_)
-        eqbuf_d = np.empty((n_lanes, d_ways), np.bool_)
-        d_hit_adder = (l1d_lat - 1) * commit_width
-
-        ia_cursor = 0
-        next_ia = ia_indices[0]
-        rd_cursor = 0
-        next_rd = rd_indices[0]
-        boundary = measure_from if measure_from > 0 else -1
-        next_pre = next_ia if boundary < 0 or next_ia < boundary else boundary
-
-        maximum = np.maximum
-        add = np.add
-        equal = np.equal
-        count_nonzero = np.count_nonzero
-
-        # ufuncs pay ~3x dispatch cost for Python-int operands; 0-d array
-        # constants (and one mutable 0-d cell for per-access scalars) keep
-        # every hot call on the fast path.
-        c_one = np.array(1, I64)
-        c_w = np.array(commit_width, I64)
-        c_wm1 = np.array(commit_width - 1, I64)
-        w_pow2 = commit_width & (commit_width - 1) == 0
-        c_dhit = np.array(d_hit_adder, I64)
-        c_lat = tuple(np.array((l - 1) * w, I64) for l in exec_lat)
-        c_true = np.array(True)
-        s_cell = np.array(0, I64)  # per-access scalar operand (base/tag/...)
-        s_stamp = np.array(0, I64)  # current recency stamp (0-d copyto source)
-
         kernel = lane_kernel.load()
-        if kernel is not None:
-            # ---- compiled driver: the C kernel advances all lanes and
-            # returns only at the boundary and at any-lane-miss events.
-            # A D-miss costs exactly one vectorised service call: the
-            # per-lane latency vector goes back through `dlat_buf` and
-            # the kernel finishes the instruction itself (DLAT_READY).
-            dlat_buf = np.zeros(n_lanes, I64)
-            ctx, _keepalive = OutOfOrderPipeline._kernel_context(
-                trace, cfg, lanes, locals()
-            )
-            C = lane_kernel.CTX
-            c_icur = C["I_CUR"]
-            c_iacur = C["IA_CUR"]
-            c_cursp = C["CUR_SP"]
-            c_ret = C["RET"]
-            c_cnt = C["CNT_OUT"]
-            c_dlat_ready = C["DLAT_READY"]
-            ctx_ptr = ctx.ctypes.data
-            while True:
-                kernel(ctx_ptr)
-                ret = int(ctx[c_ret])
-                if ret == lane_kernel.RET_DONE:
-                    break
-                i = int(ctx[c_icur])
-                if ret == lane_kernel.RET_BOUNDARY:
-                    np.subtract(v, 1, out=t)
-                    np.floor_divide(t, commit_width, out=t)
-                    cycles_base[:] = t
-                    lanes.mark_boundary()
-                    ctx[C["BOUNDARY"]] = -1
-                    continue
-                if ret == lane_kernel.RET_IACCESS:
-                    ia_cursor = int(ctx[c_iacur])
-                    dyn += service_i(
-                        K + 2 * i, ia_lines[ia_cursor], ia_bases[ia_cursor],
-                        ia_sets[ia_cursor], ia2_bases[ia_cursor],
-                        ia2_tags[ia_cursor], ia_tags[ia_cursor],
-                        eqbuf_i, int(ctx[c_cnt]), False, True,
-                    )
-                    ctx[c_iacur] = ia_cursor + 1
-                    ctx[c_cursp] = lane_kernel.CUR_SP_INVALID
-                    continue
-                # ---- RET_DMISS: one vectorised service call; the kernel
-                # finishes the instruction with the latency vector ------
-                stamp = K + 2 * i + 1
-                cnt = int(ctx[c_cnt])
-                if classes[i] == 4:  # LOAD
-                    np.copyto(
-                        dlat_buf,
-                        service_d(
-                            stamp, d_blocks[i], d_bases[i], d_sets[i],
-                            d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                            eqbuf_d, cnt, False, True,
-                        ),
-                    )
-                else:  # STORE (the kernel only defers on cls 4/5)
-                    service_d(
-                        stamp, d_blocks[i], d_bases[i], d_sets[i],
-                        d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                        eqbuf_d, cnt, True, False,
-                    )
-                ctx[c_dlat_ready] = 1
-        else:
-          for i, (cls, sp, r1, r2, rd, rs, slot) in enumerate(
-            zip(classes, sps, src1s, src2s, dests, rob_col, iq_col)
-          ):
-            if i == next_pre:
-                if i == boundary:
-                    np.subtract(v, 1, out=t)
-                    np.floor_divide(t, commit_width, out=t)
-                    cycles_base[:] = t
-                    lanes.mark_boundary()
-                    boundary = -1
-                if i == next_ia:
-                    # ---- I-cache access point (precomputed line change) ---
-                    line = ia_lines[ia_cursor]
-                    s = ia_sets[ia_cursor]
-                    base = ia_bases[ia_cursor]
-                    tag = ia_tags[ia_cursor]
-                    base2 = ia2_bases[ia_cursor]
-                    tag2 = ia2_tags[ia_cursor]
-                    ia_cursor += 1
-                    next_ia = ia_indices[ia_cursor]
-                    stamp = K + 2 * i
-                    s_cell[()] = tag
-                    equal(i_tags2d[:, base : base + i_ways], s_cell, out=eqbuf_i)
-                    cnt = count_nonzero(eqbuf_i)
-                    if cnt == n_lanes:
-                        s_stamp[()] = stamp
-                        np.copyto(
-                            i_last2d[:, base : base + i_ways],
-                            s_stamp,
-                            where=eqbuf_i,
-                        )
-                    else:
-                        dyn += service_i(
-                            stamp, line, base, s, base2, tag2, tag,
-                            eqbuf_i, cnt, False, True,
-                        )
-                        cur_sp = None  # dyn moved: refresh fetch_base
-                next_pre = next_ia if boundary < 0 or next_ia < boundary else boundary
-
-            # ---- dispatch: static fetch offset, ROB, issue queues ---------
-            if sp != cur_sp:
-                s_cell[()] = sp * w
-                add(dyn, s_cell, out=fetch_base)
-                cur_sp = sp
-            # rob_ring holds the scaled (last_commit + 1) * W bound
-            maximum(fetch_base, rob_rows[rs], out=disp)
-            iq_rows = fp_iq_rows if cls == 2 or cls == 3 else int_iq_rows
-            iq_row = iq_rows[slot]
-            maximum(disp, iq_row, out=disp)
-            if r1 != 64:
-                maximum(disp, reg_rows[r1], out=disp)
-            if r2 != 64 and r2 != r1:
-                maximum(disp, reg_rows[r2], out=disp)
-
-            # ---- issue: FU and issue-port structural hazards --------------
-            fu = fu_of[cls]
-            urow = pool_single[fu]
-            if urow is None:
-                uflat = pool_flat[fu]
-                add(pools[fu].argmin(1), pool_aridx[fu], out=idx64)
-                uflat.take(idx64, out=tb)
-                maximum(disp, tb, out=disp)
-            else:
-                maximum(disp, urow, out=disp)
-            if ports_single is None:
-                add(ports.argmin(1), ports_ar, out=colbuf)
-                ports_flat.take(colbuf, out=tb)
-                maximum(disp, tb, out=disp)
-            else:
-                maximum(disp, ports_single, out=disp)
-            add(disp, c_w, out=issued)
-            if urow is None:
-                uflat[idx64] = issued  # fully pipelined units
-            else:
-                urow[:] = issued
-            if ports_single is None:
-                ports_flat[colbuf] = issued
-            else:
-                ports_single[:] = issued
-            iq_row[:] = issued  # IQ entry frees at issue
-
-            # ---- execute / complete (vectorised residency probes) ---------
-            if cls == 4:  # LOAD
-                base = d_bases[i]
-                stamp = K + 2 * i + 1
-                s_cell[()] = d_tagcol[i]
-                equal(d_tags2d[:, base : base + d_ways], s_cell, out=eqbuf_d)
-                cnt = count_nonzero(eqbuf_d)
-                add(issued, c_dhit, out=comp)
-                if cnt == n_lanes:
-                    s_stamp[()] = stamp
-                    np.copyto(
-                        d_last2d[:, base : base + d_ways],
-                        s_stamp,
-                        where=eqbuf_d,
-                    )
-                else:
-                    comp += service_d(
-                        stamp, d_blocks[i], base, d_sets[i],
-                        d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                        eqbuf_d, cnt, False, True,
-                    )
-                cw = comp
-            elif cls == 5:  # STORE
-                base = d_bases[i]
-                stamp = K + 2 * i + 1
-                s_cell[()] = d_tagcol[i]
-                equal(d_tags2d[:, base : base + d_ways], s_cell, out=eqbuf_d)
-                cnt = count_nonzero(eqbuf_d)
-                if cnt == n_lanes:
-                    s_stamp[()] = stamp
-                    eq_t = eqbuf_d
-                    np.copyto(
-                        d_last2d[:, base : base + d_ways], s_stamp, where=eq_t
-                    )
-                    np.copyto(
-                        d_dirty2d[:, base : base + d_ways], c_true, where=eq_t
-                    )
-                else:
-                    service_d(
-                        stamp, d_blocks[i], base, d_sets[i],
-                        d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                        eqbuf_d, cnt, True, False,
-                    )
-                cw = issued  # retires via the store buffer
-            else:
-                lat = exec_lat[cls]
-                if lat == 1:
-                    cw = issued
-                else:
-                    add(issued, c_lat[cls], out=comp)
-                    cw = comp
-
-            if rd != 65:
-                reg_rows[rd][:] = cw  # sentinel 65 writes are dropped
-
-            # ---- commit: v' = max(v, comp_scaled) + 1; the ROB frees this
-            # slot at (last_commit + 1) * W = (v_pre // W + 1) * W --------
-            maximum(v, cw, out=v)
-            if w_pow2:
-                np.bitwise_or(v, c_wm1, out=t)
-                add(t, c_one, out=t)
-            else:
-                np.floor_divide(v, c_w, out=t)
-                add(t, c_one, out=t)
-                np.multiply(t, c_w, out=t)
-            rob_rows[rs][:] = t
-            add(v, c_one, out=v)
-
-            # ---- misprediction redirects (precomputed points) -------------
-            if i == next_rd:
-                rd_cursor += 1
-                next_rd = rd_indices[rd_cursor]
-                s_cell[()] = (
-                    1 + frontend_delay - rd_static_next[rd_cursor - 1]
-                ) * w
-                add(cw, s_cell, out=t)
-                maximum(dyn, t, out=dyn)
-                cur_sp = None  # dyn moved: refresh fetch_base
-
-        # Reconstruct per-lane statistics from the recorded event masks and
-        # write state + stats back to the object hierarchies.
+        if kernel is None:
+            raise RuntimeError("the lane-batched pass needs the compiled lane kernel")
+        ctx, arrays, lanes, schedule = OutOfOrderPipeline._kernel_context(
+            pipelines, trace, measure_from
+        )
+        kernel(ctx.ctypes.data)
+        if ctx[lane_kernel.CTX["RET"]] != lane_kernel.RET_DONE:
+            raise RuntimeError("the lane kernel did not complete its pass")
         lanes.finalize(
             schedule.iaccess_measured,
             schedule.daccess_measured,
-            clock=K + 2 * n,
+            clock=lanes.stamp_base + 2 * n,
         )
 
-        np.subtract(v, 1, out=t)
-        np.floor_divide(t, commit_width, out=t)
-        cycles = (t - cycles_base).tolist()
+        commit_width = pipelines[0].config.commit_width
+        cycles = ((arrays["P_V"] - 1) // commit_width - arrays["P_CBASE"]).tolist()
         mispredictions = (
             schedule.gshare_mispredictions + schedule.ras_mispredictions
         )

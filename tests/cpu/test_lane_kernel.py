@@ -1,23 +1,28 @@
-"""The compiled lane kernel: gating, caching, and bit-identity with the
-pure-NumPy fallback loop.
+"""The compiled lane kernel: gating, caching, its ctx ABI, one call per
+pass, and bit-identity with sequential runs.
 
 The kernel is an optional accelerator — ``REPRO_NO_CKERNEL=1``, a
-missing compiler, or a failed build must all leave behaviour unchanged.
-These tests pin the load gates and, when a kernel is available, drive
-the same batches through both paths and require byte-identical results
-(cycles and every statistic).
+missing compiler, or a failed build must all leave behaviour unchanged:
+``run_batch`` then runs every lane through ``run()``.  These tests pin
+the load gates, the ctx layout the Python side hands the kernel, and,
+when a kernel is available, drive batches through it and require
+results identical to sequential runs (cycles and every statistic).
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 
+import numpy as np
 import pytest
 
+from repro.cache.engine import LANE_COUNTERS
 from repro.campaign.session import Session
 from repro.campaign.spec import RunnerSettings
 from repro.cpu import lane_kernel
+from repro.cpu.frontend import REG_FILE_SLOTS
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BLOCK,
@@ -51,6 +56,30 @@ def _run_batch(session, config, indices, benchmark="gzip"):
     return results, pipelines
 
 
+def _run_sequential(session, config, indices, benchmark="gzip"):
+    trace = session.trace(benchmark)
+    pipelines = [session.build_pipeline(config, m) for m in indices]
+    results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+    return results, pipelines
+
+
+def _hetero_pipelines(session):
+    """Four lanes with 0/8/16-entry victim caches on both sides."""
+    return [
+        session.build_pipeline(LV_BLOCK, 0),
+        session.build_pipeline(LV_BLOCK_V6, 0),
+        session.build_pipeline(LV_BLOCK_V10, 0),
+        session.build_pipeline(LV_BLOCK_V10, 1),
+    ]
+
+
+def _forbid_lanes(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("entered the lane-batched pass")
+
+    monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
+
+
 class TestGating:
     def test_env_override_disables_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
@@ -60,52 +89,184 @@ class TestGating:
         slots = sorted(lane_kernel.CTX.values())
         assert len(slots) == len(set(slots))
         assert max(slots) < lane_kernel.CTX_SLOTS
+        # Every slot the C body reads is in the table and vice versa —
+        # the L2, victim and counter slots included.
+        body = lane_kernel._C_BODY
+        read = set(re.findall(r"(?:I64P|U8P)\((P_\w+)\)", body))
+        read |= set(re.findall(r"ctx\[([A-Z][A-Z0-9_]*)\]", body))
+        read |= set(re.findall(r"ctx \+ ([A-Z]+)", body))
+        assert read == set(lane_kernel.CTX)
+        for name in (
+            "P_L2TAGS", "P_L2LAST", "P_L2FILLT",
+            "P_VITAGS", "P_VISTAMP", "P_VIINS",
+            "P_VDTAGS", "P_VDSTAMP", "P_VDINS",
+            "P_IDIRTY", "P_IFILLT", "P_DFILLT", "P_CBASE", "P_COUNTS",
+        ):
+            assert name in lane_kernel.CTX
 
     @kernel_available
     def test_kernel_memoised_per_process(self):
         assert lane_kernel.load() is lane_kernel.load()
 
+    def test_no_kernel_runs_lanes_sequentially(self, session, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        _forbid_lanes(monkeypatch)
+        batched, _ = _run_batch(session, LV_BLOCK_V6, range(2))
+        assert batched == _run_sequential(session, LV_BLOCK_V6, range(2))[0]
+
 
 @kernel_available
 class TestKernelVsFallback:
+    """The kernel pass against the sequential reference ``run()`` — the
+    path ``run_batch`` takes when no kernel is available."""
+
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL]
     )
     def test_results_bit_identical(self, session, config, monkeypatch):
         indices = range(SETTINGS.n_fault_maps)
         with_kernel, _ = _run_batch(session, config, indices)
+        sequential, _ = _run_sequential(session, config, indices)
+        assert with_kernel == sequential
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
+        _forbid_lanes(monkeypatch)
         without, _ = _run_batch(session, config, indices)
-        assert with_kernel == without
+        assert without == sequential
 
-    def test_hierarchy_state_writeback_matches(self, session, monkeypatch):
-        """Both paths must leave identical cache statistics behind on
-        every lane's hierarchy (the post-batch warm-reuse contract)."""
+    def test_hierarchy_state_writeback_matches(self, session):
+        """The kernel pass must leave the statistics and cache contents
+        of a sequential run behind on every lane's hierarchy (the
+        post-batch warm-reuse contract)."""
         indices = range(SETTINGS.n_fault_maps)
-        _, with_kernel = _run_batch(session, LV_BLOCK, indices)
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        _, without = _run_batch(session, LV_BLOCK, indices)
-        for pk, pn in zip(with_kernel, without):
-            assert pk.hierarchy.stats() == pn.hierarchy.stats()
+        _, with_kernel = _run_batch(session, LV_BLOCK_V10, indices)
+        _, sequential = _run_sequential(session, LV_BLOCK_V10, indices)
+        for pk, ps in zip(with_kernel, sequential):
+            assert pk.hierarchy.stats() == ps.hierarchy.stats()
+            for level in ("l1i", "l1d", "l2"):
+                a = getattr(pk.hierarchy, level)
+                b = getattr(ps.hierarchy, level)
+                assert a._tags == b._tags
+                assert a._dirty == b._dirty
+                assert a._resident == b._resident
+            for side in ("victim_i", "victim_d"):
+                a = getattr(pk.hierarchy, side)
+                b = getattr(ps.hierarchy, side)
+                assert a._tags == b._tags
 
-    def test_padded_heterogeneous_victims(self, session, monkeypatch):
+    def test_padded_heterogeneous_victims(self, session):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
-        axis through the kernel's D-miss resume protocol."""
+        axis and the ``insertable`` mask inside the kernel."""
         trace = session.trace("gzip")
+        with_kernel = OutOfOrderPipeline.run_batch(
+            _hetero_pipelines(session), trace, measure_from=WARMUP
+        )
+        sequential = [
+            p.run(trace, measure_from=WARMUP) for p in _hetero_pipelines(session)
+        ]
+        assert with_kernel == sequential
 
-        def build():
-            return [
-                session.build_pipeline(LV_BLOCK, 0),
-                session.build_pipeline(LV_BLOCK_V6, 0),
-                session.build_pipeline(LV_BLOCK_V10, 0),
-                session.build_pipeline(LV_BLOCK_V10, 1),
-            ]
 
-        with_kernel = OutOfOrderPipeline.run_batch(build(), trace, measure_from=WARMUP)
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        without = OutOfOrderPipeline.run_batch(build(), trace, measure_from=WARMUP)
-        assert with_kernel == without
+@kernel_available
+class TestOneCallPerPass:
+    @pytest.mark.parametrize("measure_from", [WARMUP, 0])
+    def test_heterogeneous_batch_makes_one_kernel_call(
+        self, session, monkeypatch, measure_from
+    ):
+        real = lane_kernel.load()
+        calls = []
+
+        def counting(ctx_ptr):
+            calls.append(ctx_ptr)
+            return real(ctx_ptr)
+
+        monkeypatch.setattr(lane_kernel, "_cached_fn", counting)
+        trace = session.trace("gzip")
+        results = OutOfOrderPipeline.run_batch(
+            _hetero_pipelines(session), trace, measure_from=measure_from
+        )
+        assert len(calls) == 1
+        assert results == [
+            p.run(trace, measure_from=measure_from)
+            for p in _hetero_pipelines(session)
+        ]
+
+
+@kernel_available
+class TestContextABI:
+    def test_every_pointer_slot_addresses_a_matching_array(self, session):
+        """Each ``P_*`` slot must hold the address of a live C-contiguous
+        array of the dtype and length the kernel indexes."""
+        pipelines = _hetero_pipelines(session)
+        trace = session.trace("gzip")
+        ctx, arrays, lanes, schedule = OutOfOrderPipeline._kernel_context(
+            pipelines, trace, WARMUP
+        )
+        L = len(pipelines)
+        n = len(trace)
+        cfg = session.pipeline_config
+        hier = pipelines[0].hierarchy
+        n_ia = len(schedule.iaccess_line)
+        n_rd = len(schedule.redirect_static_next)
+        i64, b8 = np.dtype(np.int64), np.dtype(np.bool_)
+
+        def way_count(cache):
+            return cache.geometry.num_sets * cache.geometry.ways
+
+        expected = {
+            **{
+                name: (i64, n)
+                for name in (
+                    "P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL",
+                    "P_IQCOL", "P_DBLOCKS", "P_SPS",
+                )
+            },
+            "P_IAIDX": (i64, n_ia + 1),  # sentinel-terminated
+            "P_IALINES": (i64, n_ia),
+            "P_RDIDX": (i64, n_rd + 1),
+            "P_RDSNEXT": (i64, n_rd),
+            "P_REG": (i64, REG_FILE_SLOTS * L),
+            "P_ROB": (i64, cfg.rob_entries * L),
+            "P_IQINT": (i64, cfg.iq_int_entries * L),
+            "P_IQFP": (i64, cfg.iq_fp_entries * L),
+            "P_POOL0": (i64, cfg.int_alu_units * L),
+            "P_POOL1": (i64, cfg.int_mul_units * L),
+            "P_POOL2": (i64, cfg.fp_alu_units * L),
+            "P_POOL3": (i64, cfg.fp_mul_units * L),
+            "P_PORTS": (i64, cfg.issue_width * L),
+            **{name: (i64, L) for name in ("P_DYN", "P_FETCHBASE", "P_V", "P_CBASE")},
+            "P_COUNTS": (i64, 2 * len(LANE_COUNTERS) * L),
+        }
+        for side, cache in (("I", hier.l1i), ("D", hier.l1d), ("L2", hier.l2)):
+            for field in ("TAGS", "LAST", "FILLT"):
+                expected[f"P_{side}{field}"] = (i64, way_count(cache) * L)
+        for side, l1, attr in (
+            ("I", hier.l1i, "victim_i"), ("D", hier.l1d, "victim_d")
+        ):
+            expected[f"P_{side}DIRTY"] = (b8, way_count(l1) * L)
+            # padded to the largest lane's victim cache (16 entries here)
+            entries = max(
+                getattr(p.hierarchy, attr).entries
+                for p in pipelines
+                if getattr(p.hierarchy, attr) is not None
+            )
+            expected[f"P_V{side}TAGS"] = (i64, entries * L)
+            expected[f"P_V{side}STAMP"] = (i64, entries * L)
+            expected[f"P_V{side}INS"] = (b8, L)
+
+        pointer_slots = {k for k in lane_kernel.CTX if k.startswith("P_")}
+        assert set(expected) == pointer_slots == set(arrays)
+        for name, (dtype, length) in expected.items():
+            array = arrays[name]
+            assert ctx[lane_kernel.CTX[name]] != 0, name
+            assert ctx[lane_kernel.CTX[name]] == array.ctypes.data, name
+            assert array.flags.c_contiguous, name
+            assert array.dtype == dtype, name
+            assert array.size == length, name
+        # The cache arrays are the bulk engine's own, updated in place.
+        assert arrays["P_L2TAGS"] is lanes.l2.tags
+        assert arrays["P_VDSTAMP"] is lanes.victims_d.stamp
+        assert arrays["P_COUNTS"] is lanes.counts
 
 
 @kernel_available
@@ -154,5 +315,5 @@ class TestBuildFailureWarning:
             raise FileNotFoundError("No such file or directory: 'gcc'")
 
         monkeypatch.setattr(lane_kernel.subprocess, "run", no_gcc)
-        with pytest.warns(RuntimeWarning, match="NumPy lane loop"):
+        with pytest.warns(RuntimeWarning, match="sequential runs"):
             assert lane_kernel.load() is None

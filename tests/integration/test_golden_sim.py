@@ -15,6 +15,8 @@ import pytest
 
 from golden_scenarios import (
     MEASURE_FROM,
+    _small_hierarchy,
+    _thinned_matrix,
     _traces,
     load_golden,
     result_record,
@@ -71,6 +73,36 @@ def test_golden_bit_identity_batched(name, golden, traces):
         assert result_record(result) == golden[name], (
             f"{name} diverged on the batched engine (lane {lane})"
         )
+
+
+def test_mixed_bypass_batch_matches_sequential(traces):
+    """Lanes with fully disabled L1I and L1D sets share one batch with
+    fault-free and victim-cache lanes: every lane must match its own
+    sequential run, and only the thinned lanes may bypass fills."""
+    from repro.cpu.config import PAPER_PIPELINE
+    from repro.cpu.pipeline import OutOfOrderPipeline
+
+    builders = [
+        ("thinned", lambda: _small_hierarchy(
+            enabled_i=_thinned_matrix(21), enabled_d=_thinned_matrix(22))),
+        ("fault-free", lambda: _small_hierarchy()),
+        ("thinned-victim4", lambda: _small_hierarchy(
+            enabled_i=_thinned_matrix(23), enabled_d=_thinned_matrix(24),
+            victim_entries=4)),
+        ("victim4", lambda: _small_hierarchy(victim_entries=4)),
+    ]
+    trace = traces["gzip"]
+    pipelines = [OutOfOrderPipeline(PAPER_PIPELINE, make()) for _, make in builders]
+    assert OutOfOrderPipeline._can_run_batch(pipelines)
+    batched = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=MEASURE_FROM)
+    for (label, make), result in zip(builders, batched):
+        expected = OutOfOrderPipeline(PAPER_PIPELINE, make()).run(
+            trace, measure_from=MEASURE_FROM
+        )
+        assert result_record(result) == result_record(expected), label
+        stats = result.hierarchy_stats
+        bypassed = stats["l1i"]["bypassed_fills"] + stats["l1d"]["bypassed_fills"]
+        assert (bypassed > 0) == label.startswith("thinned"), label
 
 
 def test_pipeline_reuse_stays_identical(traces):

@@ -1,19 +1,20 @@
-"""Property-based equivalence: fused/batched runs vs per-op sequential.
+"""Property-based equivalence: batched runs vs per-lane sequential runs.
 
-The lane-batched engine (and, where available, the compiled lane
-kernel riding inside it) promises bit-identity with N sequential fused
-runs on *any* trace, not just the generator's benchmark profiles.
-Hypothesis drives randomly-structured traces — arbitrary class mixes,
-register patterns, branch shapes, and memory streams — through both
-paths across heterogeneous victim-cache lanes and asserts the results
-are equal, cycles and statistics alike.
+The lane-batched pass (the compiled lane kernel, or — without one — the
+sequential fallback inside ``run_batch``) promises bit-identity with N
+sequential fused runs on *any* trace, not just the generator's
+benchmark profiles.  Hypothesis drives randomly-structured traces —
+arbitrary class mixes, register patterns, branch shapes, and memory
+streams — through both paths over a lane mix drawn per example from the
+0/8/16-entry victim configurations, and asserts the results are equal,
+cycles and statistics alike.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.session import Session
@@ -32,23 +33,31 @@ SETTINGS = RunnerSettings(
 
 SESSION = Session(SETTINGS)
 
-#: (config, map_index) lanes mixing victim sizings (0/8/16 entries) so
-#: every example also exercises the padded victim slot axis.
-LANE_ITEMS = (
-    (LV_BLOCK, 0),
-    (LV_BLOCK_V6, 1),
-    (LV_BLOCK_V10, 2),
-)
+#: Victim sizings 0/8/16 entries: a drawn mix of these exercises the
+#: padded victim slot axis and the insert mask.
+CONFIGS = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
+
+#: Byte stride that maps addresses onto the same L1 *and* L2 set (the
+#: paper's 2MB 8-way L2 has 4096 sets of 64B blocks).
+ALIAS_STRIDE = 4096 * 64
 
 
-def random_trace(seed: int, n: int) -> Trace:
+def random_trace(seed: int, n: int, aliased: bool = False) -> Trace:
     """A structurally-arbitrary committed-instruction trace: random
     class mix, dependence patterns, jumpy control flow, and a memory
-    stream with a little locality (so hits and misses both occur)."""
+    stream.  The default stream has a little locality (so hits and
+    misses both occur); the ``aliased`` one spreads 48 blocks over two
+    L1/L2 set pairs, so L1, victim and L2 evictions and writebacks all
+    occur."""
     rng = random.Random(seed)
     trace = Trace(name=f"prop-{seed}")
     pc = 0x1000
-    mem_bases = [rng.randrange(0, 1 << 18) << 6 for _ in range(4)]
+    if aliased:
+        blocks = [
+            s * 64 + k * ALIAS_STRIDE for s in (5, 9) for k in range(1, 25)
+        ]
+    else:
+        mem_bases = [rng.randrange(0, 1 << 18) << 6 for _ in range(4)]
     targets = [0x1000 + 4 * rng.randrange(0, 4 * n) for _ in range(8)]
     classes = list(InstrClass)
     for _ in range(n):
@@ -56,7 +65,10 @@ def random_trace(seed: int, n: int) -> Trace:
         mem_addr = -1
         taken = False
         if cls.is_memory:
-            mem_addr = rng.choice(mem_bases) + 4 * rng.randrange(0, 256)
+            if aliased:
+                mem_addr = rng.choice(blocks) + 4 * rng.randrange(0, 16)
+            else:
+                mem_addr = rng.choice(mem_bases) + 4 * rng.randrange(0, 256)
         src1 = rng.randrange(0, 64) if rng.random() < 0.8 else NO_REGISTER
         src2 = rng.randrange(0, 64) if rng.random() < 0.4 else NO_REGISTER
         dest = rng.randrange(0, 64) if rng.random() < 0.6 else NO_REGISTER
@@ -67,29 +79,55 @@ def random_trace(seed: int, n: int) -> Trace:
     return trace
 
 
+lane_items = st.lists(
+    st.tuples(st.sampled_from(CONFIGS), st.integers(0, SETTINGS.n_fault_maps - 1)),
+    min_size=2,
+    max_size=5,
+)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=200, max_value=800),
-    warm_frac=st.sampled_from([0.0, 0.3]),
+    n=st.integers(min_value=2, max_value=2000),
+    lanes=lane_items,
+    measure_last=st.booleans(),
+    aliased=st.booleans(),
 )
-@settings(max_examples=15, deadline=None)
-def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
-    trace = random_trace(seed, n)
-    measure_from = int(n * warm_frac)
+@example(seed=0, n=2, lanes=[(LV_BLOCK, 0), (LV_BLOCK_V10, 1)], measure_last=True, aliased=True)
+@settings(max_examples=25, deadline=None)
+def test_batched_matches_sequential_on_random_traces(
+    seed, n, lanes, measure_last, aliased
+):
+    trace = random_trace(seed, n, aliased)
+    measure_from = n - 1 if measure_last else 0
     sequential = [
         SESSION.build_pipeline(config, m).run(trace, measure_from=measure_from)
-        for config, m in LANE_ITEMS
+        for config, m in lanes
     ]
-    pipelines = [SESSION.build_pipeline(config, m) for config, m in LANE_ITEMS]
+    pipelines = [SESSION.build_pipeline(config, m) for config, m in lanes]
     batched = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=measure_from)
     assert batched == sequential
+
+
+def test_aliased_stream_exercises_every_eviction():
+    """The aliased memory stream does what the property relies on: L1,
+    victim and L2 evictions and L1 writebacks all occur in a batch."""
+    trace = random_trace(7, 2000, aliased=True)
+    pipelines = [SESSION.build_pipeline(c, 0) for c in CONFIGS]
+    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
+    stats = results[2].hierarchy_stats  # the 16-entry victim lane
+    assert stats["l1d"]["evictions"] > 0
+    assert stats["l1d"]["writebacks"] > 0
+    assert stats["victim_d"]["hits"] > 0
+    assert stats["victim_d"]["evictions"] > 0
+    assert stats["l2"]["evictions"] > 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_same_map_lanes_agree_on_random_traces(seed):
     """Identical lanes through one batch must produce identical results
-    (catches any cross-lane state bleed in the fused kernels)."""
+    (catches any cross-lane state bleed in the kernel)."""
     trace = random_trace(seed, 400)
     pipelines = [SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
