@@ -1,27 +1,27 @@
 """Lane-batching microbenchmark: KIPS per lane width and the break-even.
 
 Measures the lane-batched campaign engine
-(:meth:`OutOfOrderPipeline.run_batch`) against the sequential fused path
-on one fault-dependent campaign point: the same trace simulated over
-``--maps`` fault-map pairs, dispatched in batches of 1 (the legacy
-per-map path) and each requested width.  Reported per lane width:
+(:meth:`OutOfOrderPipeline.run_batch`) against the pipeline's reference
+loop on one fault-dependent campaign point: the same trace simulated
+over ``--maps`` fault-map pairs, one reference-loop run per map (width
+1) and batches of each wider requested width.  Reported per lane width:
 
 * ``kips``    — aggregate simulated instructions per second across lanes;
 * ``seconds`` — wall-clock for the whole point;
-* ``speedup`` — vs the sequential (width-1) dispatch.
+* ``speedup`` — vs the reference loop (width 1).
 
 Per config the bench also reports ``break_even_lanes`` — the
-interpolated lane count where a batched pass first matches sequential
-wall-clock — and ``one_lane``: a one-lane kernel pass
-(``OutOfOrderPipeline._run_lanes``, which ``run_batch`` never takes for
-a single lane) against one sequential fused ``run()``.  A ``hetero``
+interpolated lane count where a batched pass first matches the
+reference loop's wall-clock — and ``one_lane``: one ``run()``, a
+one-lane kernel pass, against one reference-loop run.  A ``hetero``
 section demonstrates that a ``--maps 2`` campaign over mixed victim
 sizings (0/8/16 entries) pads to one slot axis and merges into a
 *single* planned pass.  With ``--no-kernel`` every width runs the
-lanes sequentially (the no-compiler path), so its speedups sit near 1.
+lanes on the reference loop (the no-compiler path), so its speedups sit
+near 1.
 
 Every batched result is checked for **bit-identity** against the
-sequential runs; a divergence exits non-zero (that is the CI failure
+reference loop; a divergence exits non-zero (that is the CI failure
 condition — timing never is).
 
 Usage::
@@ -75,7 +75,7 @@ def _parse_args(argv) -> argparse.Namespace:
         "--no-kernel",
         action="store_true",
         help="disable the compiled lane kernel (REPRO_NO_CKERNEL=1) to "
-        "measure the sequential fallback run_batch takes without it",
+        "measure the reference loop run_batch falls back to without it",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="timed repetitions (best kept)"
@@ -91,7 +91,8 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _run_point(session, config, trace, warmup, map_count, width):
-    """One campaign point at the given lane width; returns (seconds, results)."""
+    """One campaign point at the given lane width (width 1: the reference
+    loop); returns (seconds, results)."""
     indices = list(range(map_count))
     results = []
     start = time.perf_counter()
@@ -99,7 +100,7 @@ def _run_point(session, config, trace, warmup, map_count, width):
         chunk = indices[begin : begin + width]
         pipelines = [session.build_pipeline(config, m) for m in chunk]
         if width == 1:
-            results.append(pipelines[0].run(trace, measure_from=warmup))
+            results.append(pipelines[0]._run_reference(trace, measure_from=warmup))
         else:
             results.extend(
                 OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
@@ -108,28 +109,28 @@ def _run_point(session, config, trace, warmup, map_count, width):
 
 
 def _one_lane(session, config, trace, warmup, repeats) -> "dict | None":
-    """One lane through a kernel pass vs one sequential fused ``run()``
-    (``None`` without a kernel: there is no one-lane pass to time)."""
+    """One ``run()`` — a one-lane kernel pass — vs one reference-loop
+    run (``None`` without a kernel: there is no one-lane pass to time)."""
     from repro.cpu import lane_kernel
 
     if lane_kernel.load() is None:
         return None
-    lane_times, run_times = [], []
+    lane_times, reference_times = [], []
     for _ in range(repeats):
         pipeline = session.build_pipeline(config, 0)
         start = time.perf_counter()
-        expected = pipeline.run(trace, measure_from=warmup)
-        run_times.append(time.perf_counter() - start)
-        pipelines = [session.build_pipeline(config, 0)]
+        expected = pipeline._run_reference(trace, measure_from=warmup)
+        reference_times.append(time.perf_counter() - start)
+        pipeline = session.build_pipeline(config, 0)
         start = time.perf_counter()
-        got = OutOfOrderPipeline._run_lanes(pipelines, trace, warmup)
+        got = pipeline.run(trace, measure_from=warmup)
         lane_times.append(time.perf_counter() - start)
-    lane_s, run_s = min(lane_times), min(run_times)
+    lane_s, reference_s = min(lane_times), min(reference_times)
     return {
         "lane_pass_s": round(lane_s, 4),
-        "sequential_s": round(run_s, 4),
-        "ratio": round(lane_s / run_s, 2),
-        "identical": got == [expected],
+        "reference_s": round(reference_s, 4),
+        "ratio": round(lane_s / reference_s, 2),
+        "identical": got == expected,
     }
 
 
@@ -154,7 +155,7 @@ def _break_even(widths, rows) -> "float | None":
 def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
     the padded slot axis must merge all six lanes into ONE vectorised
-    pass group, bit-identical to the six sequential runs."""
+    pass group, bit-identical to six reference-loop runs."""
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     settings = RunnerSettings(
         n_instructions=instructions,
@@ -163,8 +164,11 @@ def _run_hetero(args, instructions, warmup) -> dict:
         benchmarks=(args.benchmark,),
     )
     sequential = Session(settings)
+    trace = sequential.trace(args.benchmark)
     reference = {
-        (config.label, m): sequential.simulate(args.benchmark, config, m)
+        (config.label, m): sequential.build_pipeline(config, m)._run_reference(
+            trace, measure_from=warmup
+        )
         for config in configs
         for m in range(2)
     }
@@ -309,8 +313,8 @@ def main(argv=None) -> int:
         if one is not None:
             ok = "yes" if one["identical"] else "DIVERGED"
             print(
-                f"  1-lane pass {one['lane_pass_s']:.4f}s vs sequential run "
-                f"{one['sequential_s']:.4f}s ({one['ratio']:.2f}x)  ok={ok}"
+                f"  1-lane run() {one['lane_pass_s']:.4f}s vs reference loop "
+                f"{one['reference_s']:.4f}s ({one['ratio']:.2f}x)  ok={ok}"
             )
     print(f"full-batch speedup: {summary['speedup_full_batch']}x")
     hetero = summary["hetero"]
@@ -331,7 +335,7 @@ def main(argv=None) -> int:
     if summary["divergences"]:
         print(
             f"ERROR: {summary['divergences']} lane width(s) diverged from the "
-            "sequential fused engine",
+            "reference loop",
             file=sys.stderr,
         )
         return 1

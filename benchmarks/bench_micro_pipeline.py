@@ -3,11 +3,12 @@
 Measures simulated-instructions-per-second per scheme for one *campaign
 point* — configured-hierarchy construction plus a full pipeline run over a
 warm trace, exactly the unit of work a Monte-Carlo campaign repeats
-thousands of times — on both execution engines:
+thousands of times — on both execution paths:
 
-* ``fused``  — the flat-state engine + schedule-driven loop (the default);
-* ``object`` — the ``MemoryHierarchy.access_*`` method chain, kept in-tree
-  as the verification baseline (the pre-PR execution model).
+* ``run``       — ``OutOfOrderPipeline.run``: a one-lane pass of the
+  compiled lane kernel wherever it applies (the default path);
+* ``reference`` — the reference loop over the ``MemoryHierarchy.access_*``
+  method chain, the oracle the kernel is checked against.
 
 A ``schedule_compile`` section additionally times pass-1
 ``FrontEndSchedule`` compilation both ways — the vectorised
@@ -152,27 +153,30 @@ def run_bench(args) -> dict:
         map_index = 0 if config.needs_fault_map else None
         timings: dict[str, float] = {}
         results: dict[str, object] = {}
-        for engine in ("object", "fused"):
+        for path in ("reference", "run"):
             best = float("inf")
             result = None
             for rep in range(repeats + 1):  # +1 untimed warm-up rep
-                pipeline = session.build_pipeline(config, map_index, engine=engine)
+                pipeline = session.build_pipeline(config, map_index)
+                simulate = (
+                    pipeline._run_reference if path == "reference" else pipeline.run
+                )
                 t0 = time.perf_counter()
-                result = pipeline.run(trace, measure_from=warmup)
+                result = simulate(trace, measure_from=warmup)
                 elapsed = time.perf_counter() - t0
                 if rep > 0 or repeats == 1:
                     best = min(best, elapsed)
-            timings[engine] = best
-            results[engine] = result
-        identical = results["object"] == results["fused"]
+            timings[path] = best
+            results[path] = result
+        identical = results["reference"] == results["run"]
         if not identical:
             divergences += 1
         key = f"{config.voltage.value}/{config.label}"
         schemes[key] = {
-            "kips_object": round(total / timings["object"] / 1e3, 1),
-            "kips_fused": round(total / timings["fused"] / 1e3, 1),
-            "speedup": round(timings["object"] / timings["fused"], 2),
-            "cycles": results["fused"].cycles,
+            "kips_reference": round(total / timings["reference"] / 1e3, 1),
+            "kips_run": round(total / timings["run"] / 1e3, 1),
+            "speedup": round(timings["reference"] / timings["run"], 2),
+            "cycles": results["run"].cycles,
             "identical": identical,
         }
 
@@ -203,10 +207,10 @@ def main(argv=None) -> int:
     width = max(len(k) for k in summary["schemes"])
     print(f"# KIPS per scheme — {summary['benchmark']}, "
           f"{summary['instructions']} instructions (warmup {summary['warmup']})")
-    print(f"{'scheme':{width}}  {'object':>9}  {'fused':>9}  {'speedup':>7}  ok")
+    print(f"{'scheme':{width}}  {'reference':>9}  {'run':>9}  {'speedup':>7}  ok")
     for key, row in summary["schemes"].items():
         print(
-            f"{key:{width}}  {row['kips_object']:>9.1f}  {row['kips_fused']:>9.1f}"
+            f"{key:{width}}  {row['kips_reference']:>9.1f}  {row['kips_run']:>9.1f}"
             f"  {row['speedup']:>6.2f}x  {'yes' if row['identical'] else 'DIVERGED'}"
         )
     print(f"baseline speedup: {summary['baseline_speedup']:.2f}x")
@@ -226,7 +230,7 @@ def main(argv=None) -> int:
 
     if summary["divergences"]:
         print(
-            f"ERROR: {summary['divergences']} scheme(s) diverged between engines",
+            f"ERROR: {summary['divergences']} scheme(s) diverged between paths",
             file=sys.stderr,
         )
         return 1

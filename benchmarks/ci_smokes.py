@@ -7,14 +7,14 @@ identical gate on a laptop, and adds the mega-batch equivalence smoke (a
 multi-point campaign plan must scatter back bit-identical results with
 strictly fewer schedule passes than campaign points, and the CLI's
 mega-batched figures must be byte-identical to figures read from a store
-filled by one sequential ``Session.simulate`` per work item) plus the
+filled by one reference-loop ``Session.simulate`` per work item) plus the
 campaign smoke: the ``Session.run(spec)`` path must reproduce the
 committed fig8 figure-JSON golden byte for byte, and dedup re-runs must
 execute zero schedule passes.  The
 ``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one planned pass, run
-it as exactly one kernel call, stay bit-identical with the sequential
-runs ``REPRO_NO_CKERNEL=1`` falls back to, and the vectorised schedule
+it as exactly one kernel call, stay bit-identical with the reference
+loop ``REPRO_NO_CKERNEL=1`` falls back to, and the vectorised schedule
 compiler must match the reference replay.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
@@ -36,6 +36,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import os
@@ -75,6 +76,21 @@ def _cli(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     )
 
 
+@contextlib.contextmanager
+def _reference_loop():
+    """Run the enclosed simulations on the pipeline's reference loop
+    (``REPRO_NO_CKERNEL=1``): the oracle the kernel is gated against."""
+    saved = os.environ.get("REPRO_NO_CKERNEL")
+    os.environ["REPRO_NO_CKERNEL"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NO_CKERNEL"]
+        else:
+            os.environ["REPRO_NO_CKERNEL"] = saved
+
+
 def _write(json_dir: str, name: str, payload: dict) -> None:
     path = os.path.join(json_dir, f"{name}-smoke.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -87,8 +103,8 @@ def _write(json_dir: str, name: str, payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 def smoke_goldens(json_dir: str) -> list[str]:
-    """Golden bit-identity suite: both engines must reproduce the locked
-    cycle counts and statistics exactly."""
+    """Golden bit-identity suite: the reference loop and ``run()`` must
+    both reproduce the locked cycle counts and statistics exactly."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -96,7 +112,6 @@ def smoke_goldens(json_dir: str) -> list[str]:
             "pytest",
             "-q",
             "tests/integration/test_golden_sim.py",
-            "tests/cache/test_engine.py",
         ],
         cwd=ROOT,
         env=_env(),
@@ -114,8 +129,9 @@ def smoke_goldens(json_dir: str) -> list[str]:
 
 
 def smoke_kips(json_dir: str) -> list[str]:
-    """KIPS microbench: both engines per scheme, zero SimResult
-    divergences (timing numbers are informational)."""
+    """KIPS microbench: reference loop vs ``run()`` (the lane kernel
+    where it applies) per scheme, zero SimResult divergences (timing
+    numbers are informational)."""
     import bench_micro_pipeline
 
     path = os.path.join(json_dir, "kips-smoke.json")
@@ -132,7 +148,7 @@ def smoke_kips(json_dir: str) -> list[str]:
 
 def smoke_lane_batch(json_dir: str) -> list[str]:
     """Lane-batch equivalence: one campaign point at several lane widths
-    must match the sequential fused engine lane for lane."""
+    must match the reference loop lane for lane."""
     import bench_micro_batch
 
     path = os.path.join(json_dir, "batch-smoke.json")
@@ -207,11 +223,11 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
 
     In-process: every work item of a several-config, two-map campaign —
     the shape that used to pay one schedule pass per point — must come
-    back bit-identical to the sequential per-point path
+    back bit-identical to per-point runs of the reference loop
     (``divergences == 0``) while executing strictly fewer schedule
     passes than campaign points.  CLI: the mega-batched figure output
     must be byte-identical to a run over a store filled by one
-    sequential ``Session.simulate`` per work item, and that run must
+    reference-loop ``Session.simulate`` per work item, and that run must
     execute no simulation.
     """
     from repro.experiments.__main__ import _build_parser, _settings_from_args
@@ -248,16 +264,16 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         )
         for m in indices:
             compared += 1
-            if mega.simulate("gzip", config, m) != sequential.simulate(
-                "gzip", config, m
-            ):
+            with _reference_loop():
+                expected = sequential.simulate("gzip", config, m)
+            if mega.simulate("gzip", config, m) != expected:
                 divergences += 1
 
     failures: list[str] = []
     if divergences:
         failures.append(
             f"{divergences}/{compared} mega-batched results diverged from "
-            "the sequential fused engine"
+            "the reference loop"
         )
     if mega.simulations_executed != executed or mega.simulations_executed != compared:
         failures.append(
@@ -277,15 +293,19 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     ):
         shared = _STORE_ARGS + ["--trace-cache", traces]
         with_mega = _cli(shared + ["--no-store"])
-        # The sequential arm: one Session.simulate per work item of the
-        # same CLI targets fills a store the CLI then renders from.
+        # The sequential arm: one reference-loop Session.simulate per work
+        # item of the same CLI targets fills a store the CLI then renders
+        # from.
         args = _build_parser().parse_args(_STORE_ARGS)
         cli_settings = _settings_from_args(args)
         spec = CampaignSpec.from_settings(
             cli_settings, configs_for_targets(args.targets)
         )
         store = open_store(store_dir)
-        with Session(cli_settings, store=store, trace_cache=traces) as filler:
+        with (
+            _reference_loop(),
+            Session(cli_settings, store=store, trace_cache=traces) as filler,
+        ):
             for benchmark, config, m in spec.work_items():
                 filler.simulate(benchmark, config, m)
         store.close()
@@ -413,7 +433,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
     A heterogeneous-victim campaign (block disabling plus the 6T and
     10T victim-cache rows over two fault maps — six lanes) must merge
     into ONE planned pass and scatter back bit-identical to the
-    sequential fused runs, twice: once with the compiled C lane kernel
+    reference loop, twice: once with the compiled C lane kernel
     active (when buildable), where the pass must be exactly one kernel
     call (``kernel_calls_per_pass``), and once with the kernel disabled
     (``REPRO_NO_CKERNEL=1``), where ``run_batch`` must run the lanes
@@ -441,10 +461,11 @@ def smoke_kernel(json_dir: str) -> list[str]:
     items = [(config, m) for config in configs for m in range(2)]
 
     sequential = Session(settings)
-    reference = {
-        (config.label, m): sequential.simulate("gzip", config, m)
-        for config, m in items
-    }
+    with _reference_loop():
+        reference = {
+            (config.label, m): sequential.simulate("gzip", config, m)
+            for config, m in items
+        }
 
     def hetero_pass() -> dict:
         kernel = lane_kernel.load()
@@ -489,20 +510,13 @@ def smoke_kernel(json_dir: str) -> list[str]:
     failures: list[str] = []
     kernel_active = lane_kernel.load() is not None
     runs = {"kernel": hetero_pass()}
-    saved = os.environ.get("REPRO_NO_CKERNEL")
-    os.environ["REPRO_NO_CKERNEL"] = "1"
-    try:
+    with _reference_loop():
         runs["fallback"] = hetero_pass()
-    finally:
-        if saved is None:
-            del os.environ["REPRO_NO_CKERNEL"]
-        else:
-            os.environ["REPRO_NO_CKERNEL"] = saved
     for engine, run in runs.items():
         if run["divergences"]:
             failures.append(
                 f"{engine} engine: {run['divergences']}/{len(items)} lanes "
-                "diverged from the sequential fused runs"
+                "diverged from the reference loop"
             )
         if run["groups"] != 1 or not run["merged"] or run["passes"] != 1:
             failures.append(

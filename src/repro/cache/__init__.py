@@ -2,7 +2,6 @@
 replacement policies, prefetching, and the two-level hierarchy of Tables
 II-III."""
 
-from repro.cache.engine import FlatCacheState, FusedHierarchy, FusedPort
 from repro.cache.hierarchy import CachePort, LatencyConfig, MemoryHierarchy
 from repro.cache.prefetch import NextLinePrefetcher, PrefetchStats
 from repro.cache.replacement import (
@@ -17,9 +16,6 @@ from repro.cache.stats import CacheStats, HierarchyStats
 from repro.cache.victim import VictimCache
 
 __all__ = [
-    "FusedHierarchy",
-    "FusedPort",
-    "FlatCacheState",
     "SetAssociativeCache",
     "VictimCache",
     "MemoryHierarchy",

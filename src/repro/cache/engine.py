@@ -1,506 +1,37 @@
-"""Fused simulation engine: a :class:`MemoryHierarchy` compiled to flat state.
+"""Lane-batched cache state: N hierarchies as NumPy arrays with a lane axis.
 
 The object model (:class:`~repro.cache.set_assoc.SetAssociativeCache`,
 :class:`~repro.cache.hierarchy.CachePort`, victim cache, prefetcher) is the
-*construction and verification substrate*: schemes configure it, tests
-introspect it, and its semantics define correctness.  But driving it from
-the pipeline costs a 3-5 deep Python call chain plus nested-list indexing
-per simulated memory access — the dominant cost of campaign-scale runs.
+construction and verification substrate: schemes configure it, tests
+introspect it, its semantics define correctness, and the pipeline's
+reference loop drives it access by access.
 
-:class:`FusedHierarchy` "compiles" a constructed hierarchy into flat-array
-state and closures:
+:class:`BulkLanes` compiles N structurally identical hierarchies — one
+per fault map — into lane-major arrays the compiled lane kernel
+(:mod:`repro.cpu.lane_kernel`) updates in place, then writes statistics
+and cache contents back to each object hierarchy
+(:meth:`BulkLanes.finalize`).  A single :meth:`OutOfOrderPipeline.run
+<repro.cpu.pipeline.OutOfOrderPipeline.run>` is a one-lane batch.
 
-* per cache, the flat ``tags`` / ``dirty`` / ``last_touch`` /
-  ``fill_time`` lists (indexed ``set * ways + way``, invalid ways encoded
-  as tag -1 — the layout :class:`SetAssociativeCache` itself stores) are
-  shared by reference, so compiling costs O(1) and cache contents never
-  need a write-back; the hit probe is one C-speed slice membership test
-  with no separate valid scan;
-* per port, one closure services a demand access end to end — L1 probe,
-  victim swap, L2, memory, fill, victim insertion, prefetch — with every
-  piece of state bound in closure cells, no intermediate frames;
-* statistics accumulate in plain lists (``counters[0]`` = accesses, ...)
-  and are written back to the object model's :class:`CacheStats` by
-  :meth:`FusedHierarchy.sync`, so ``hierarchy.stats()`` reports identically.
-
-Bit-identity is the contract: cycles, hit/miss/eviction/writeback counts,
-replacement decisions (including the seeded random policy, which consumes
-the same RNG stream), and victim/prefetch behaviour all match the object
-path exactly.  ``tests/integration/test_golden_sim.py`` and
-``tests/cache/test_engine.py`` enforce this for every scheme and policy.
-
-The engine covers the demand path the pipeline drives (lookup + fill);
-out-of-band mutation (``invalidate``/``flush``) still belongs to the object
-model — call :meth:`sync` first if the flat state has run.
+Bit-identity with the object model is the contract: cycles,
+hit/miss/eviction/writeback counts, every LRU decision, and victim
+behaviour all match.  :func:`bulk_signature` names what the lanes do not
+model (non-LRU policies, a fault-disabled L2); such hierarchies stay on
+the reference loop.  ``tests/integration/test_golden_sim.py`` pins both
+paths to the same goldens.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.hierarchy import CachePort, MemoryHierarchy
-from repro.cache.prefetch import NextLinePrefetcher
-from repro.cache.replacement import FIFOPolicy, LRUPolicy
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.replacement import LRUPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.victim import VictimCache
 
-# counters[] layout, shared by caches and victim caches (CacheStats order).
-_ACCESSES, _HITS, _MISSES, _FILLS, _EVICTIONS, _BYPASSED, _WRITEBACKS = range(7)
-
-
-class FlatCacheState:
-    """Hot-loop view of one :class:`SetAssociativeCache`'s flat state.
-
-    ``tags[set * ways + way]`` is the block's tag, or -1 for an invalid
-    (or disabled) way — the layout the cache itself stores, shared by
-    reference.  The replacement clock lives in a one-element list so port
-    closures and the inlined pipeline hit path share one mutable cell.
-    """
-
-    __slots__ = (
-        "cache",
-        "ways",
-        "set_mask",
-        "tag_shift",
-        "tags",
-        "dirty",
-        "last_touch",
-        "fill_time",
-        "resident",
-        "clock",
-        "counters",
-        "usable",
-        "fully_enabled",
-        "policy",
-        "policy_kind",
-    )
-
-    def __init__(self, cache: SetAssociativeCache) -> None:
-        self.cache = cache
-        geometry = cache.geometry
-        self.ways = geometry.ways
-        self.set_mask = geometry.num_sets - 1
-        self.tag_shift = geometry.index_bits
-        # The object cache already stores its state flat (same layout, same
-        # package) — share the lists by reference, so compilation is O(1)
-        # and cache contents need no write-back after a fused run.  Only
-        # the scalar clock and the stats counters are mirrored (list cells
-        # beat attribute access in the hot loop) and synced at run end.
-        self.tags = cache._tags
-        self.dirty = cache._dirty
-        self.last_touch = cache._last_touch
-        self.fill_time = cache._fill_time
-        self.resident = cache._resident
-        self.clock = [cache._clock]
-        self.counters = [
-            cache.stats.accesses,
-            cache.stats.hits,
-            cache.stats.misses,
-            cache.stats.fills,
-            cache.stats.evictions,
-            cache.stats.bypassed_fills,
-            cache.stats.writebacks,
-        ]
-        self.usable = cache._usable_ways  # read-only; relative way indices
-        self.fully_enabled = cache._fully_enabled
-        self.policy = cache._policy
-        if type(self.policy) is LRUPolicy:
-            self.policy_kind = 0
-        elif type(self.policy) is FIFOPolicy:
-            self.policy_kind = 1
-        else:
-            self.policy_kind = 2  # generic: delegate to the policy object
-
-    # ----- write-back to the object model ----------------------------------
-
-    def sync_stats(self) -> None:
-        stats = self.cache.stats
-        counters = self.counters
-        stats.accesses = counters[_ACCESSES]
-        stats.hits = counters[_HITS]
-        stats.misses = counters[_MISSES]
-        stats.fills = counters[_FILLS]
-        stats.evictions = counters[_EVICTIONS]
-        stats.bypassed_fills = counters[_BYPASSED]
-        stats.writebacks = counters[_WRITEBACKS]
-
-    def sync_state(self) -> None:
-        """Write the scalar clock back (contents are shared by reference,
-        so the object cache already reflects the fused run)."""
-        self.cache._clock = self.clock[0]
-
-    def make_fill(self):
-        """Closure replicating ``SetAssociativeCache.fill`` on flat state.
-
-        ``fill(block, tag, s, base, is_write)`` returns the evicted block
-        address or None; callers pre-split the address (they already have
-        the pieces from the lookup probe).
-        """
-        tags, dirty = self.tags, self.dirty
-        last, fillt = self.last_touch, self.fill_time
-        resident = self.resident
-        clock, counters = self.clock, self.counters
-        usable, ways = self.usable, self.ways
-        fully = self.fully_enabled
-        tag_shift = self.tag_shift
-        policy, policy_kind = self.policy, self.policy_kind
-
-        def fill(block, tag, s, base, is_write):
-            c = clock[0] + 1
-            clock[0] = c
-            index = resident.get(block)
-            if index is not None:
-                # Refill of a resident block (unreachable from the demand
-                # path, which always misses first): refresh in place,
-                # mirroring SetAssociativeCache.fill.
-                if is_write:
-                    dirty[index] = True
-                last[index] = c
-                fillt[index] = c
-                counters[_FILLS] += 1
-                return None
-            usable_s = usable[s]
-            if not usable_s:
-                counters[_BYPASSED] += 1
-                return None
-            victim_way = -1
-            segment = tags[base : base + ways]
-            if -1 in segment:
-                if fully[s]:
-                    victim_way = segment.index(-1)
-                else:
-                    for w in usable_s:
-                        if tags[base + w] == -1:
-                            victim_way = w
-                            break
-            evicted = None
-            if victim_way < 0:
-                if policy_kind == 0:  # LRU: first way with minimal last_touch
-                    if fully[s]:
-                        # All ways usable: C-speed min + first-occurrence
-                        # index replicate min()'s first-minimum tie-break.
-                        row = last[base : base + ways]
-                        victim_way = row.index(min(row))
-                    else:
-                        victim_way = usable_s[0]
-                        best = last[base + victim_way]
-                        for w in usable_s:
-                            t = last[base + w]
-                            if t < best:
-                                best = t
-                                victim_way = w
-                elif policy_kind == 1:  # FIFO: first way with minimal fill_time
-                    if fully[s]:
-                        row = fillt[base : base + ways]
-                        victim_way = row.index(min(row))
-                    else:
-                        victim_way = usable_s[0]
-                        best = fillt[base + victim_way]
-                        for w in usable_s:
-                            t = fillt[base + w]
-                            if t < best:
-                                best = t
-                                victim_way = w
-                else:
-                    # Generic policies see the same way-indexed views the
-                    # object path passes (slices are cheap; evictions are
-                    # the rare path).
-                    victim_way = policy.victim(
-                        list(usable_s),
-                        last[base : base + ways],
-                        fillt[base : base + ways],
-                    )
-                index = base + victim_way
-                evicted = (tags[index] << tag_shift) | s
-                del resident[evicted]
-                if dirty[index]:
-                    counters[_WRITEBACKS] += 1
-                counters[_EVICTIONS] += 1
-            index = base + victim_way
-            tags[index] = tag
-            resident[block] = index
-            dirty[index] = is_write
-            last[index] = c
-            fillt[index] = c
-            counters[_FILLS] += 1
-            return evicted
-
-        return fill
-
-
-class FusedPort:
-    """One compiled port: the closure plus its inline-probe ingredients."""
-
-    __slots__ = (
-        "access",
-        "miss",
-        "l1",
-        "victim_tags",
-        "victim_counters",
-        "memory_accesses",
-        "prefetch_counters",
-        "can_inline_hits",
-    )
-
-
-def _compile_port(
-    port: CachePort, l1: FlatCacheState, l2: FlatCacheState
-) -> FusedPort:
-    """Compile one :class:`CachePort` against shared flat L2 state."""
-    fused = FusedPort()
-    fused.l1 = l1
-    fused.memory_accesses = [port.memory_accesses]
-
-    l1_lat = port.l1_latency
-    victim_lat = port.victim_latency
-    l2_lat = port.l2_latency
-    memory_lat = port.memory_latency
-
-    l1_tags, l1_dirty, l1_last = l1.tags, l1.dirty, l1.last_touch
-    l1_resident = l1.resident
-    l1_clock, l1_counters = l1.clock, l1.counters
-    l1_mask, l1_tag_shift, l1_ways = l1.set_mask, l1.tag_shift, l1.ways
-    fill_l1 = l1.make_fill()
-
-    l2_resident = l2.resident
-    l2_last = l2.last_touch
-    l2_clock, l2_counters = l2.clock, l2.counters
-    fill_l2 = l2.make_fill()
-    l2_mask, l2_tag_shift, l2_ways = l2.set_mask, l2.tag_shift, l2.ways
-
-    memory_accesses = fused.memory_accesses
-
-    victim = port.victim
-    victim_present = victim is not None
-    if victim_present:
-        victim_tags = victim._tags  # flat already; mutated in place
-        victim_entries = victim.entries
-        victim_counters = [
-            victim.stats.accesses,
-            victim.stats.hits,
-            victim.stats.misses,
-            victim.stats.fills,
-            victim.stats.evictions,
-            victim.stats.bypassed_fills,
-            victim.stats.writebacks,
-        ]
-    else:
-        victim_tags = None
-        victim_entries = 0
-        victim_counters = None
-    fused.victim_tags = victim_tags
-    fused.victim_counters = victim_counters
-
-    prefetcher = port.prefetcher
-    fused.can_inline_hits = prefetcher is None
-    if prefetcher is not None:
-        prefetch_counters = [prefetcher.stats.issued, prefetcher.stats.useful]
-        tagged = prefetcher._tagged  # mutated in place
-        degree = prefetcher.degree
-    else:
-        prefetch_counters = None
-    fused.prefetch_counters = prefetch_counters
-
-    def victim_insert(block):
-        # VictimCache.insert: dedup, evict LRU (head) on overflow, append MRU.
-        if victim_entries == 0:
-            return
-        if block in victim_tags:
-            victim_tags.remove(block)
-        elif len(victim_tags) >= victim_entries:
-            victim_tags.pop(0)
-            victim_counters[_EVICTIONS] += 1
-        victim_tags.append(block)
-        victim_counters[_FILLS] += 1
-
-    if prefetcher is not None:
-
-        def prefetch_issue(block):
-            for i in range(1, degree + 1):
-                target = block + i
-                if target in l1_resident:  # contains()
-                    continue
-                s = target & l1_mask
-                base = s * l1_ways
-                tag = target >> l1_tag_shift
-                fill_l1(target, tag, s, base, False)
-                tagged.add(target)
-                prefetch_counters[0] += 1
-
-        def prefetch_hit(block):
-            if block in tagged:
-                tagged.discard(block)
-                prefetch_counters[1] += 1
-                prefetch_issue(block)
-
-    l1_fully = l1.fully_enabled
-    l1_fill_time = l1.fill_time
-    # The common L1 fill (fully-enabled set, LRU) is inlined below; thinned
-    # sets and non-LRU policies take the generic closure.
-    l1_inline_fill = l1.policy_kind == 0
-
-    def miss(block, is_write):
-        """Service an L1 demand miss (the caller counted the lookup's
-        clock tick and miss): victim swap, else L2, else memory; fill;
-        returns total latency."""
-        # --- victim cache probe (extract-on-hit swap semantics) ------------
-        swap = False
-        if victim_present:
-            victim_counters[_ACCESSES] += 1
-            if block in victim_tags:
-                victim_counters[_HITS] += 1
-                victim_tags.remove(block)
-                swap = True
-            else:
-                victim_counters[_MISSES] += 1
-        if swap:
-            latency = l1_lat + victim_lat
-        else:
-            # --- shared L2 --------------------------------------------------
-            c2 = l2_clock[0] + 1
-            l2_clock[0] = c2
-            l2_counters[_ACCESSES] += 1
-            index2 = l2_resident.get(block)
-            if index2 is not None:
-                l2_counters[_HITS] += 1
-                l2_last[index2] = c2
-                latency = l1_lat + l2_lat
-            else:
-                l2_counters[_MISSES] += 1
-                s2 = block & l2_mask
-                fill_l2(block, block >> l2_tag_shift, s2, s2 * l2_ways, False)
-                memory_accesses[0] += 1
-                latency = l1_lat + memory_lat
-        # --- L1 fill (and evictee -> victim cache) --------------------------
-        s = block & l1_mask
-        base = s * l1_ways
-        tag = block >> l1_tag_shift
-        if l1_inline_fill and l1_fully[s]:
-            c = l1_clock[0] + 1
-            l1_clock[0] = c
-            segment = l1_tags[base : base + l1_ways]
-            if -1 in segment:
-                index = base + segment.index(-1)
-                evicted = None
-            else:
-                row = l1_last[base : base + l1_ways]
-                index = base + row.index(min(row))
-                evicted = (l1_tags[index] << l1_tag_shift) | s
-                del l1_resident[evicted]
-                if l1_dirty[index]:
-                    l1_counters[_WRITEBACKS] += 1
-                l1_counters[_EVICTIONS] += 1
-            l1_tags[index] = tag
-            l1_resident[block] = index
-            l1_dirty[index] = is_write
-            l1_last[index] = c
-            l1_fill_time[index] = c
-            l1_counters[_FILLS] += 1
-        else:
-            evicted = fill_l1(block, tag, s, base, is_write)
-        if victim_present and evicted is not None:
-            victim_insert(evicted)
-        if prefetcher is not None and not swap:
-            prefetch_issue(block)
-        return latency
-
-    def access(block, is_write=False):
-        """Full demand access: residency probe, then hit or the miss path."""
-        c = l1_clock[0] + 1
-        l1_clock[0] = c
-        l1_counters[_ACCESSES] += 1
-        index = l1_resident.get(block)
-        if index is not None:
-            l1_counters[_HITS] += 1
-            l1_last[index] = c
-            if is_write:
-                l1_dirty[index] = True
-            if prefetcher is not None:
-                prefetch_hit(block)
-            return l1_lat
-        l1_counters[_MISSES] += 1
-        return miss(block, is_write)
-
-    fused.access = access
-    fused.miss = miss
-    return fused
-
-
-class FusedHierarchy:
-    """A :class:`MemoryHierarchy` compiled for the pipeline's hot loop.
-
-    Cache contents are shared with the object model by reference; only
-    the per-cache clocks and statistics counters are mirrored into list
-    cells for speed, and :meth:`sync` writes those back.
-    """
-
-    def __init__(self, hierarchy: MemoryHierarchy) -> None:
-        self.hierarchy = hierarchy
-        self._l1i = FlatCacheState(hierarchy.l1i)
-        self._l1d = FlatCacheState(hierarchy.l1d)
-        self._l2 = FlatCacheState(hierarchy.l2)
-        self.iport = _compile_port(hierarchy.iport, self._l1i, self._l2)
-        self.dport = _compile_port(hierarchy.dport, self._l1d, self._l2)
-
-    # ----- pipeline-facing API ---------------------------------------------
-
-    def access_instruction(self, block_addr: int) -> int:
-        return self.iport.access(block_addr)
-
-    def access_data(self, block_addr: int, is_write: bool = False) -> int:
-        return self.dport.access(block_addr, is_write)
-
-    def reset_stats(self) -> None:
-        """Zero the measured-region statistics (mirror of the pipeline's
-        warmup-boundary reset; state and prefetch-accuracy counters keep
-        their warm values, exactly as on the object path)."""
-        for flat in (self._l1i, self._l1d, self._l2):
-            counters = flat.counters
-            for i in range(len(counters)):
-                counters[i] = 0
-        for port in (self.iport, self.dport):
-            port.memory_accesses[0] = 0
-            if port.victim_counters is not None:
-                for i in range(len(port.victim_counters)):
-                    port.victim_counters[i] = 0
-
-    def sync(self, state: bool = True) -> None:
-        """Write statistics (and, by default, cache contents) back to the
-        object hierarchy so ``hierarchy.stats()`` and cache introspection
-        see the fused run's outcome."""
-        hierarchy = self.hierarchy
-        for flat in (self._l1i, self._l1d, self._l2):
-            flat.sync_stats()
-            if state:
-                flat.sync_state()
-        for fused_port, port in (
-            (self.iport, hierarchy.iport),
-            (self.dport, hierarchy.dport),
-        ):
-            port.memory_accesses = fused_port.memory_accesses[0]
-            if fused_port.victim_counters is not None:
-                self._sync_victim(port.victim, fused_port.victim_counters)
-            if fused_port.prefetch_counters is not None:
-                port.prefetcher.stats.issued = fused_port.prefetch_counters[0]
-                port.prefetcher.stats.useful = fused_port.prefetch_counters[1]
-
-    @staticmethod
-    def _sync_victim(victim: VictimCache, counters: list[int]) -> None:
-        stats = victim.stats
-        stats.accesses = counters[_ACCESSES]
-        stats.hits = counters[_HITS]
-        stats.misses = counters[_MISSES]
-        stats.fills = counters[_FILLS]
-        stats.evictions = counters[_EVICTIONS]
-        stats.bypassed_fills = counters[_BYPASSED]
-        stats.writebacks = counters[_WRITEBACKS]
-
-
-# --------------------------------------------------------------------------
-# Lane-batched engine: N fault-map lanes driven through one schedule pass
-# --------------------------------------------------------------------------
-#
-# The bulk engine widens the fused engine's flat state by one axis: every
+# The bulk engine widens the object caches' flat state (the ``set * ways
+# + way`` layout :class:`SetAssociativeCache` stores) by one axis: every
 # per-way quantity becomes a NumPy array with a *lane* dimension, one lane
 # per fault map.  The compiled lane kernel (:mod:`repro.cpu.lane_kernel`)
 # works on these arrays in place through raw pointers: it probes each
@@ -511,7 +42,7 @@ class FusedHierarchy:
 # of an access is a trace-static, strictly increasing function of the
 # instruction index, identical in every lane.  Within one lane each cache
 # sees at most one stamped event per instruction, so stamp order equals
-# the sequential engine's clock order and every LRU decision — including
+# the object caches' clock order and every LRU decision — including
 # the invalid-way preference, encoded by initialising invalid usable ways
 # to a stamp below any real one, and disabled ways to one above all
 # (``BIG_STAMP``) — is bit-identical.  Statistics are per-lane ``int64``
@@ -743,16 +274,6 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     return ()
 
 
-def bulk_lanes_eligible(hierarchies: list[MemoryHierarchy]) -> bool:
-    """Whether the lane-batched engine covers these hierarchies
-    as one batch (see :func:`bulk_signature`).  Anything else falls back
-    to sequential runs."""
-    signature = bulk_signature(hierarchies[0])
-    if signature is None:
-        return False
-    return all(bulk_signature(h) == signature for h in hierarchies[1:])
-
-
 #: Per-lane statistics the lane kernel accumulates for the measured
 #: region, one ``[port, counter, lane]`` row per name (port 0 is the
 #: I-side, 1 the D-side).  The L2 rows count the port's own L2 traffic.
@@ -774,8 +295,9 @@ class BulkLanes:
     Lanes may differ in cache *contents* — fault maps, enabled ways,
     victim/L2 residency — and in victim *sizing* (padded to the largest
     lane, see :class:`VectorVictims`), but share geometry, latencies,
-    and LRU policies (checked by :func:`bulk_lanes_eligible` plus the
-    batched pipeline's own config checks).  :attr:`counts` holds the
+    and LRU policies (checked by :func:`bulk_signature` inside
+    :meth:`OutOfOrderPipeline.batch_key
+    <repro.cpu.pipeline.OutOfOrderPipeline.batch_key>`).  :attr:`counts` holds the
     per-lane :data:`LANE_COUNTERS` the lane kernel fills in.
     """
 
@@ -808,7 +330,7 @@ class BulkLanes:
     def finalize(self, measured_i_accesses: int, measured_d_accesses: int, clock: int) -> None:
         """Turn the measured-region counters into every lane's statistics
         and write statistics *and* cache contents back to the object
-        hierarchies (mirror of :meth:`FusedHierarchy.sync`)."""
+        hierarchies."""
         rows = [
             dict(zip(LANE_COUNTERS, port.tolist())) for port in self.counts
         ]

@@ -13,11 +13,9 @@ hierarchy layer does the shifting once so the hot loop stays cheap.
 State is stored **flat**: ``_tags``/``_dirty``/``_last_touch``/
 ``_fill_time`` are single lists indexed ``set * ways + way``, and an
 invalid way holds the sentinel tag -1 (block-address tags are
-non-negative, so the sentinel can never alias a resident block).  This
-layout is shared by reference with the fused engine
-(:mod:`repro.cache.engine`) — compiling a hierarchy is O(1) and the
-object model stays authoritative during fused runs — and makes the hit
-probe one C-speed slice membership test.  A way that is *disabled* also
+non-negative, so the sentinel can never alias a resident block).  The
+lane-batched engine (:mod:`repro.cache.engine`) copies this layout into
+its lane arrays and writes it back after a pass.  A way that is *disabled* also
 holds -1 forever: fills never select it, so lookups need no usable-way
 filtering at all.
 """

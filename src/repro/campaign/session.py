@@ -323,8 +323,8 @@ class Session:
         splits into compatible sub-batches instead of tripping the
         engine's sequential fallback.  Each non-``None`` sub-batch costs
         one schedule pass through :meth:`OutOfOrderPipeline.run_batch`
-        (a single lane runs sequentially there); ``None``-signature lanes
-        run one :meth:`simulate` each.  Results scatter back to the
+        (a single lane is a one-lane pass); ``None``-signature lanes run
+        one :meth:`simulate` each.  Results scatter back to the
         store under their own per-point keys and return in ``items``
         order, bit-identical to per-point :meth:`simulate` calls.
         """
@@ -495,14 +495,11 @@ class Session:
         self,
         config: RunConfig,
         map_index: int | None = None,
-        engine: str = "fused",
     ) -> OutOfOrderPipeline:
         """Construct the simulator for one configuration point.
 
         Public so benches and studies can time construction + run (one
-        campaign point) without going through the result store; ``engine``
-        selects the memory-hierarchy execution engine (the KIPS
-        microbenchmark compares them).
+        campaign point) without going through the result store.
         """
         scheme = SCHEMES.create(config.scheme)
         operating: OperatingPoint = (
@@ -533,7 +530,7 @@ class Session:
             victim_entries_i=config.victim_entries,
             victim_entries_d=config.victim_entries,
         )
-        return OutOfOrderPipeline(self.pipeline_config, hierarchy, engine=engine)
+        return OutOfOrderPipeline(self.pipeline_config, hierarchy)
 
     # ----- normalized series (the figure bars) ---------------------------------
 

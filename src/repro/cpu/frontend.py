@@ -4,8 +4,8 @@ Everything the pipeline front end does — gshare direction prediction, the
 return-address stack, the line predictor, fetch-group breaks at line
 boundaries/taken branches/redirects, and fetch-width overflow stalls — is a
 pure function of the *trace*: predictors train on (pc, taken) streams and
-never observe timing or cache state.  The fused pipeline therefore replays
-the front end **once per trace** and compiles it into flat arrays the hot
+never observe timing or cache state.  The lane kernel therefore replays
+the front end **once per trace** and compiles it into flat arrays its hot
 loop consumes with O(1) work per instruction:
 
 * ``static_fetch[i]`` — the cumulative statically-known fetch-cycle bumps
@@ -21,8 +21,8 @@ loop consumes with O(1) work per instruction:
   resolution redirects fetch (gshare mispredicts, RAS mispredicts), with
   the static offset of the following instruction so the rebase is O(1).
 * measured-region predictor statistics, plus the trained predictor
-  end-state so a pipeline can expose warm predictors after a fast run
-  exactly as the object path would.
+  end-state so a pipeline can expose warm predictors after a kernel pass
+  exactly as the reference loop would.
 
 Schedules are memoised on the trace object keyed by the front-end
 parameters, so campaign runs (one trace x many fault maps x many
@@ -82,25 +82,26 @@ WRITE_SENTINEL = 65
 REG_FILE_SLOTS = 66
 
 
-def operand_columns(trace: Trace) -> tuple[list[int], list[int], list[int]]:
-    """(src1, src2, dest) with ``NO_REGISTER`` remapped to the sentinels
-    above — memoised on the trace (pure function of it)."""
-    cached = trace.__dict__.get("_operand_columns")
-    if cached is None:
-        src1 = [READ_SENTINEL if r < 0 else r for r in trace.src1]
-        src2 = [READ_SENTINEL if r < 0 else r for r in trace.src2]
-        dest = [WRITE_SENTINEL if r < 0 else r for r in trace.dest]
-        cached = (src1, src2, dest)
-        trace._operand_columns = cached
-    return cached
+def operand_columns(trace: Trace) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(src1, src2, dest) as ``int64`` arrays with ``NO_REGISTER``
+    remapped to the sentinels above."""
+    src1, src2, dest = (
+        np.asarray(column, dtype=np.int64)
+        for column in (trace.src1, trace.src2, trace.dest)
+    )
+    return (
+        np.where(src1 < 0, READ_SENTINEL, src1),
+        np.where(src2 < 0, READ_SENTINEL, src2),
+        np.where(dest < 0, WRITE_SENTINEL, dest),
+    )
 
 
 @dataclass(eq=False)
 class FrontEndSchedule:
     """Compiled front-end behaviour of one (trace, config, measure_from)."""
 
-    # --- per-instruction (int64 array; the scalar hot loop reads the
-    # memoised list view below, the lane-batched loop the array) ------------
+    # --- per-instruction (an int64 array; a list from the reference
+    # builder) ---------------------------------------------------------------
     static_fetch: "np.ndarray | list[int]"
     # --- sparse events (index lists end with a sentinel of n) ---------------
     iaccess_index: list[int]
@@ -119,23 +120,11 @@ class FrontEndSchedule:
     # hot loop counts only misses and reconstructs the rest at run end) ----
     iaccess_measured: int
     daccess_measured: int
-    # --- trained end-state, installed on the pipeline after a fast run ------
+    # --- trained end-state, installed on the pipeline after a kernel pass ---
     gshare_table: bytes
     gshare_history: int
     ras_stack: tuple[int, ...]
     lp_table: tuple[int, ...]
-
-    @property
-    def static_fetch_list(self) -> list[int]:
-        """``static_fetch`` as a plain list of Python ints — what the
-        scalar per-instruction loops index (list access beats ndarray
-        scalar access in CPython).  Memoised per schedule."""
-        cached = self.__dict__.get("_static_fetch_list")
-        if cached is None:
-            raw = self.static_fetch
-            cached = raw if type(raw) is list else np.asarray(raw).tolist()
-            self.__dict__["_static_fetch_list"] = cached
-        return cached
 
     def __eq__(self, other: object):  # static_fetch may be list or ndarray
         if not isinstance(other, FrontEndSchedule):
@@ -157,7 +146,7 @@ class FrontEndSchedule:
         ras: ReturnAddressStack,
         line_predictor: LinePredictor,
     ) -> None:
-        """Leave the pipeline's predictors exactly as the object path
+        """Leave the pipeline's predictors exactly as the reference loop
         would: trained tables and measured-region counters."""
         gshare._table = bytearray(self.gshare_table)
         gshare._history = self.gshare_history
@@ -174,33 +163,20 @@ class FrontEndSchedule:
 
 def structural_columns(
     trace: Trace, rob_entries: int, iq_int_entries: int, iq_fp_entries: int
-) -> tuple[list[int], list[int]]:
-    """(rob_slot, iq_slot) per instruction — ring positions are a pure
-    function of the class sequence, so they vectorise once per trace.
+) -> "tuple[np.ndarray, np.ndarray]":
+    """(rob_slot, iq_slot) per instruction as ``int64`` arrays — ring
+    positions are a pure function of the class sequence.
 
     ``iq_slot[i]`` is instruction *i*'s slot in *its own* queue (FP classes
     2-3 rotate through the FP queue, everything else through the INT one).
-    Memoised on the trace keyed by the ring sizes.
     """
-    cache = trace.__dict__.get("_structural_columns")
-    if cache is None:
-        cache = {}
-        trace._structural_columns = cache
-    key = (rob_entries, iq_int_entries, iq_fp_entries)
-    columns = cache.get(key)
-    if columns is None:
-        n = len(trace)
-        rob_col = (np.arange(n, dtype=np.int64) % rob_entries).tolist()
-        classes = np.asarray(trace.iclass, dtype=np.int64)
-        is_fp = (classes == 2) | (classes == 3)
-        fp_rank = np.cumsum(is_fp) - 1
-        int_rank = np.cumsum(~is_fp) - 1
-        iq_col = np.where(
-            is_fp, fp_rank % iq_fp_entries, int_rank % iq_int_entries
-        ).tolist()
-        columns = (rob_col, iq_col)
-        cache[key] = columns
-    return columns
+    rob_col = np.arange(len(trace), dtype=np.int64) % rob_entries
+    classes = np.asarray(trace.iclass, dtype=np.int64)
+    is_fp = (classes == 2) | (classes == 3)
+    fp_rank = np.cumsum(is_fp) - 1
+    int_rank = np.cumsum(~is_fp) - 1
+    iq_col = np.where(is_fp, fp_rank % iq_fp_entries, int_rank % iq_int_entries)
+    return rob_col, iq_col
 
 
 def _schedule_key(
@@ -361,8 +337,8 @@ def load_schedule(path: str) -> FrontEndSchedule:
             "lp_table": tuple(data["lp_table"].tolist()),
         }
         for name in _ARRAY_FIELDS:
-            if name == "static_fetch":  # consumed as an array (or lazily
-                kwargs[name] = data[name]  # as a list) — skip the convert
+            if name == "static_fetch":  # consumed as an array
+                kwargs[name] = data[name]
             else:
                 kwargs[name] = data[name].tolist()
         for name in _SCALAR_FIELDS:

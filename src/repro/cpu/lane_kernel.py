@@ -1,10 +1,13 @@
-"""Compiled C core for the lane-batched pipeline pass.
+"""Compiled C core of the pipeline: one call runs a whole lane-batched pass.
 
 This module compiles (at first use, with the system ``gcc``) a small C
-kernel that runs a whole lane-batched pass in one call.  It advances
-*all* lanes through the per-instruction timing recurrence — dispatch
-maxima, FU-pool and issue-port argmin-replace, commit, redirects — and
-services every cache access itself, lane by lane:
+kernel that runs a whole lane-batched pass in one call.  Every eligible
+simulation goes through it: a campaign's mega-batch is an N-lane pass,
+and a single :meth:`OutOfOrderPipeline.run
+<repro.cpu.pipeline.OutOfOrderPipeline.run>` is a one-lane pass.  It
+advances *all* lanes through the per-instruction timing recurrence —
+dispatch maxima, FU-pool and issue-port argmin-replace, commit,
+redirects — and services every cache access itself, lane by lane:
 
 * the L1 probe, with the recency stamp (and dirty bit) on a hit;
 * on a miss, the victim-cache swap probe (extract on hit), else the
@@ -24,15 +27,15 @@ array holding scalars and the raw addresses of the NumPy lane arrays
 cache and victim arrays included, which it updates in place with the
 bulk engine's stamp encoding.  All arithmetic is 64-bit integer and
 every tie-break (first-minimum argmin, first-match probe) matches the
-sequential engines, keeping results bit-identical — golden-pinned, and
-re-checked against sequential :meth:`OutOfOrderPipeline.run` in
-``tests/cpu/test_lane_kernel.py``.
+pipeline's reference loop, keeping results bit-identical —
+golden-pinned, and re-checked against the reference loop in
+``tests/cpu/test_lane_kernel.py`` and the property suite.
 
 The kernel is optional: with no compiler, a failed build, or the
-environment override ``REPRO_NO_CKERNEL=1``, ``run_batch`` runs every
-lane sequentially instead.  Compiled objects are cached under the system
-temp directory keyed by a source hash, so rebuilds only happen when the
-kernel source changes.
+environment override ``REPRO_NO_CKERNEL=1``, ``run`` takes the reference
+loop and ``run_batch`` runs every lane through it.  Compiled objects are
+cached under the system temp directory keyed by a source hash, so
+rebuilds only happen when the kernel source changes.
 """
 
 from __future__ import annotations

@@ -29,30 +29,30 @@ between schemes sharing a trace, which this model resolves.
 
 Execution engines
 -----------------
-``run`` drives the memory hierarchy through one of two engines:
+``run`` takes one of two paths, bit-identical in cycles and every
+reported statistic:
 
-* ``"fused"`` (default) — the hierarchy is compiled into a
-  :class:`~repro.cache.engine.FusedHierarchy` of flat-array state; L1 hits
-  are probed *inline in the pipeline loop* (a slice membership test, no
-  call frames) and misses take a single closure call.  Statistics and
-  cache contents are synced back to the object hierarchy after the run.
-* ``"object"`` — the original ``MemoryHierarchy.access_*`` call chain;
-  kept as the verification baseline the fused engine is cross-checked
-  against (``tests/integration/test_golden_sim.py`` pins both paths to
-  the same golden cycle counts and statistics).
-
-Both engines are bit-identical in cycles and every reported statistic.
+* the compiled lane kernel (:mod:`repro.cpu.lane_kernel`) whenever this
+  pipeline has a :meth:`~OutOfOrderPipeline.batch_key` and the kernel is
+  loaded: the run is a one-lane :meth:`~OutOfOrderPipeline.run_batch`
+  pass, the same pass campaigns drive over many fault maps at once;
+* the reference loop otherwise: one readable per-instruction loop over
+  the object hierarchy's ``MemoryHierarchy.access_*`` chain.  It covers
+  prefetchers, non-LRU policies, a fault-disabled L2, reused pipelines,
+  and hosts without the kernel (no ``gcc``, ``REPRO_NO_CKERNEL=1``), and
+  it is the oracle the kernel is tested against
+  (``tests/integration/test_golden_sim.py`` pins both to the same golden
+  cycle counts and statistics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapreplace
 from typing import Sequence
 
 import numpy as np
 
-from repro.cache.engine import BulkLanes, FusedHierarchy, bulk_signature
+from repro.cache.engine import BulkLanes, bulk_signature
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cpu import lane_kernel
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
@@ -65,9 +65,6 @@ from repro.cpu.frontend import (
 )
 from repro.cpu.isa import EXECUTION_LATENCY, InstrClass
 from repro.cpu.trace import Trace
-
-#: Valid ``engine`` arguments to :class:`OutOfOrderPipeline`.
-ENGINES = ("fused", "object")
 
 
 @dataclass(frozen=True)
@@ -113,48 +110,19 @@ class OutOfOrderPipeline:
     much shorter traces need the explicit prefix or cold two-bit counters
     and compulsory misses dominate.
 
-    ``engine`` selects the memory-hierarchy execution engine (see module
-    docstring); the object hierarchy remains the source of truth between
-    runs either way.
+    The object hierarchy is the source of truth between runs on either
+    execution path (see module docstring).
     """
 
-    def __init__(
-        self,
-        config: PipelineConfig,
-        hierarchy: MemoryHierarchy,
-        engine: str = "fused",
-    ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    def __init__(self, config: PipelineConfig, hierarchy: MemoryHierarchy) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.engine = engine
         self.gshare = GsharePredictor(config.gshare_history_bits)
         self.ras = ReturnAddressStack(config.ras_entries)
         self.line_predictor = LinePredictor(config.line_predictor_entries)
         self._runs = 0
 
-    def _can_run_fast(self, fused: FusedHierarchy) -> bool:
-        """Whether the schedule-driven fast loop applies: first run of this
-        pipeline (the schedule replays predictors from their pristine
-        construction state), Table II scan widths (the loop unrolls them),
-        no prefetchers (they hook demand *hits*, which the fast loop
-        services inline), and a positive front-end depth (the fast loop
-        drops occupancy guards that rely on dispatch cycles being >= 1)."""
-        cfg = self.config
-        return (
-            self._runs == 0
-            and fused.iport.can_inline_hits
-            and fused.dport.can_inline_hits
-            and cfg.issue_width == 6
-            and cfg.int_alu_units == 4
-            and cfg.int_mul_units == 4
-            and cfg.fp_alu_units == 1
-            and cfg.fp_mul_units == 1
-            and cfg.frontend_stages + self.hierarchy.latencies.l1i >= 1
-        )
-
-    def _reset_measurement_state(self, fused: FusedHierarchy | None) -> None:
+    def _reset_measurement_state(self) -> None:
         """Zero every statistic at the warmup/measured-region boundary
         (microarchitectural state — caches, predictor tables, in-flight
         timing — is deliberately kept warm)."""
@@ -165,9 +133,6 @@ class OutOfOrderPipeline:
         self.ras.mispredictions = 0
         self.line_predictor.lookups = 0
         self.line_predictor.misses = 0
-        if fused is not None:
-            fused.reset_stats()
-            return
         hier = self.hierarchy
         for cache in (hier.l1i, hier.l1d, hier.l2):
             cache.stats.reset()
@@ -181,30 +146,28 @@ class OutOfOrderPipeline:
         """Simulate the trace; report cycles/statistics for instructions
         ``measure_from..end`` (the measured region).  ``measure_from=0``
         measures everything (cold start)."""
-        cfg = self.config
-        hier = self.hierarchy
-
         n = len(trace)
         if not 0 <= measure_from < max(n, 1):
             raise ValueError(
                 f"measure_from must be in [0, {n}), got {measure_from}"
             )
         if n == 0:
-            return SimResult(trace.name, 0, 0, 0, 0, hier.stats().snapshot())
+            return SimResult(
+                trace.name, 0, 0, 0, 0, self.hierarchy.stats().snapshot()
+            )
+        if self.batch_key() is not None and lane_kernel.load() is not None:
+            return OutOfOrderPipeline._run_lanes([self], trace, measure_from)[0]
+        return self._run_reference(trace, measure_from)
 
-        # Compile the hierarchy fresh each run: the object model is
-        # authoritative between runs (sync() below writes the flat state
-        # back), so external mutation of the caches stays visible.
-        fused: FusedHierarchy | None = None
-        if self.engine == "fused":
-            fused = FusedHierarchy(hier)
-            if self._can_run_fast(fused):
-                self._runs += 1
-                return self._run_fast(trace, measure_from, fused)
+    def _run_reference(self, trace: Trace, measure_from: int = 0) -> SimResult:
+        """The reference loop (see module docstring): every instruction
+        walks fetch, dispatch, issue, execute and commit in order, and
+        every cache access goes through the object hierarchy."""
+        cfg = self.config
+        hier = self.hierarchy
+        n = len(trace)
         self._runs += 1
 
-        # Local bindings: the loop below runs once per instruction and
-        # dominates experiment runtime.
         pcs = trace.pc
         classes = trace.iclass
         mem_addrs = trace.mem_addr
@@ -213,47 +176,18 @@ class OutOfOrderPipeline:
         dests = trace.dest
         takens = trace.taken
 
+        # Local bindings: the loop below runs once per instruction.
         predict_branch = self.gshare.predict_and_update
         lp_check = self.line_predictor.predict_and_update
         ras_push = self.ras.push
         ras_pop = self.ras.pop_and_check
+        access_inst = hier.access_instruction
+        access_data = hier.access_data
 
         i_shift = hier.l1i.geometry.offset_bits
         d_shift = hier.l1d.geometry.offset_bits
         l1i_lat = hier.latencies.l1i
-        l1d_lat = hier.latencies.l1d
         frontend_delay = cfg.frontend_stages + l1i_lat
-
-        # Engine binding.  With the fused engine and no prefetcher on a
-        # port, the L1 *hit* path is inlined right here in the loop: the
-        # residency dict, recency list, and counters are bound to locals,
-        # and only misses leave the frame (one closure call).  A prefetcher
-        # hooks demand hits, so ports with one fall back to the fused
-        # access closure; the object engine uses the original method chain.
-        i_inline = d_inline = False
-        if fused is not None:
-            access_inst = fused.iport.access
-            access_data = fused.dport.access
-            if fused.iport.can_inline_hits:
-                i_inline = True
-                i_state = fused._l1i
-                i_res = i_state.resident
-                i_last = i_state.last_touch
-                i_clk = i_state.clock
-                i_cnt = i_state.counters
-                i_miss = fused.iport.miss
-            if fused.dport.can_inline_hits:
-                d_inline = True
-                d_state = fused._l1d
-                d_res = d_state.resident
-                d_last = d_state.last_touch
-                d_dirty = d_state.dirty
-                d_clk = d_state.clock
-                d_cnt = d_state.counters
-                d_miss = fused.dport.miss
-        else:
-            access_inst = hier.access_instruction
-            access_data = hier.access_data
 
         exec_lat = [EXECUTION_LATENCY[InstrClass(c)] for c in range(9)]
         # FU pool per class index (see isa.FU_OF_CLASS, flattened for speed):
@@ -301,7 +235,7 @@ class OutOfOrderPipeline:
         for i in range(n):
             if i == measure_from and i > 0:
                 cycles_base = last_commit
-                self._reset_measurement_state(fused)
+                self._reset_measurement_state()
             pc = pcs[i]
             cls = classes[i]
 
@@ -309,22 +243,9 @@ class OutOfOrderPipeline:
             line = pc >> i_shift
             if line != cur_line:
                 cur_line = line
-                if i_inline:
-                    c = i_clk[0] + 1
-                    i_clk[0] = c
-                    i_cnt[0] += 1  # accesses
-                    index = i_res.get(line)
-                    if index is not None:
-                        i_cnt[1] += 1  # hits: latency == l1i_lat, no stall
-                        i_last[index] = c
-                    else:
-                        i_cnt[2] += 1  # misses
-                        lat = i_miss(line, False)
-                        fetch_cycle += lat - l1i_lat  # miss stall cycles
-                else:
-                    lat = access_inst(line)
-                    if lat > l1i_lat:
-                        fetch_cycle += lat - l1i_lat  # miss stall cycles
+                lat = access_inst(line)
+                if lat > l1i_lat:
+                    fetch_cycle += lat - l1i_lat  # miss stall cycles
                 fetch_slot = 0  # fetch groups break at line boundaries
             if fetch_slot >= fetch_width:
                 fetch_cycle += 1
@@ -436,37 +357,9 @@ class OutOfOrderPipeline:
             if cls < 4:  # ALU/MUL classes 0-3: fixed latencies
                 comp = start + exec_lat[cls]
             elif cls == LOAD:
-                block = mem_addrs[i] >> d_shift
-                if d_inline:
-                    c = d_clk[0] + 1
-                    d_clk[0] = c
-                    d_cnt[0] += 1
-                    index = d_res.get(block)
-                    if index is not None:
-                        d_cnt[1] += 1
-                        d_last[index] = c
-                        comp = start + l1d_lat
-                    else:
-                        d_cnt[2] += 1
-                        comp = start + d_miss(block, False)
-                else:
-                    comp = start + access_data(block, False)
+                comp = start + access_data(mem_addrs[i] >> d_shift, False)
             elif cls == STORE:
-                block = mem_addrs[i] >> d_shift
-                if d_inline:
-                    c = d_clk[0] + 1
-                    d_clk[0] = c
-                    d_cnt[0] += 1
-                    index = d_res.get(block)
-                    if index is not None:
-                        d_cnt[1] += 1
-                        d_last[index] = c
-                        d_dirty[index] = True
-                    else:
-                        d_cnt[2] += 1
-                        d_miss(block, True)
-                else:
-                    access_data(block, True)
+                access_data(mem_addrs[i] >> d_shift, True)
                 comp = start + 1  # retires via the store buffer
             else:  # control classes 6-8: single-cycle execute
                 comp = start + 1
@@ -516,8 +409,6 @@ class OutOfOrderPipeline:
                     else:
                         fetch_slot = 0
 
-        if fused is not None:
-            fused.sync()
         return SimResult(
             benchmark=trace.name,
             instructions=n - measure_from,
@@ -525,251 +416,6 @@ class OutOfOrderPipeline:
             branch_mispredictions=self.gshare.mispredictions
             + self.ras.mispredictions,
             branch_predictions=self.gshare.predictions + self.ras.pops,
-            hierarchy_stats=hier.stats().snapshot(),
-        )
-
-    def _run_fast(
-        self, trace: Trace, measure_from: int, fused: FusedHierarchy
-    ) -> SimResult:
-        """Schedule-driven hot loop (see module docstring).
-
-        The front end (predictors, fetch grouping) is precomputed per
-        trace by :func:`~repro.cpu.frontend.frontend_schedule`; the loop
-        consumes it as one zipped static-fetch column plus two sparse
-        event streams (I-cache access points, misprediction redirects).
-        Combined with the inlined flat-state L1 probes this leaves only
-        the genuinely dynamic work — dependences, structural hazards,
-        cache state, commit — in the per-instruction path.  Results are
-        bit-identical to the generic loop (golden-pinned).
-        """
-        cfg = self.config
-        hier = self.hierarchy
-        n = len(trace)
-
-        classes = trace.iclass
-        mem_addrs = trace.mem_addr
-        src1s, src2s, dests = operand_columns(trace)
-
-        i_shift = hier.l1i.geometry.offset_bits
-        d_shift = hier.l1d.geometry.offset_bits
-        l1i_lat = hier.latencies.l1i
-        l1d_lat = hier.latencies.l1d
-        frontend_delay = cfg.frontend_stages + l1i_lat
-
-        schedule = frontend_schedule(trace, cfg, i_shift, measure_from)
-        sps = schedule.static_fetch_list
-        ia_indices = schedule.iaccess_index
-        ia_lines = schedule.iaccess_line
-        rd_indices = schedule.redirect_index
-        rd_static_next = schedule.redirect_static_next
-        rob_col, iq_col = structural_columns(
-            trace, cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries
-        )
-
-        i_state = fused._l1i
-        i_res = i_state.resident
-        i_last = i_state.last_touch
-        i_clk = i_state.clock
-        i_cnt = i_state.counters
-        i_miss = fused.iport.miss
-
-        d_state = fused._l1d
-        d_res = d_state.resident
-        d_last = d_state.last_touch
-        d_dirty = d_state.dirty
-        d_clk = d_state.clock
-        d_cnt = d_state.counters
-        d_miss = fused.dport.miss
-
-        exec_lat = tuple(EXECUTION_LATENCY[InstrClass(c)] for c in range(9))
-        # FU pools and issue ports are earliest-free multisets: each issue
-        # replaces one minimum with start+1, and only the minimum is ever
-        # observed — heapreplace (C) is multiset-equivalent to the generic
-        # loop's argmin scan, so timing stays bit-identical.
-        int_alu = [0] * 4
-        int_mul = [0] * 4
-        fp_alu = [0]
-        fp_mul = [0]
-        ports = [0] * 6
-        heap_replace = heapreplace
-
-        # Slots 64/65 are the read/write sentinels of operand_columns():
-        # 64 stays pinned at zero (a "no register" source is always ready),
-        # 65 swallows the writes of destination-less instructions.
-        reg_ready = [0] * REG_FILE_SLOTS
-
-        rob_size = cfg.rob_entries
-        rob_ring = [0] * rob_size
-
-        int_iq = [0] * cfg.iq_int_entries
-        fp_iq = [0] * cfg.iq_fp_entries
-
-        # fetch_cycle = dyn - frontend_delay + static_fetch[i]; dispatch =
-        # dyn + static_fetch[i].  dyn absorbs I-miss stalls (additive) and
-        # redirect maxes.  The ring-occupancy guards of the generic loop
-        # (i >= rob_size, count >= iq_len) are dropped: rings start at 0
-        # and dispatch is always >= frontend_delay >= 1, so unwritten
-        # entries can never bind.
-        dyn = frontend_delay
-        ia_cursor = 0
-        next_ia = ia_indices[0]
-        rd_cursor = 0
-        next_rd = rd_indices[0]
-
-        last_commit = 0
-        commit_slots = 0
-        commit_width = cfg.commit_width
-        cycles_base = 0
-        boundary = measure_from if measure_from > 0 else -1
-        # One pre-dispatch event check covers both the (rare) measurement
-        # boundary and the precomputed I-cache access points.
-        next_pre = next_ia if boundary < 0 or next_ia < boundary else boundary
-
-        # Local mirrors of the L1 clocks: hits touch only locals; the cells
-        # are synchronised around each miss-closure call (fills bump them).
-        i_clock = i_clk[0]
-        d_clock = d_clk[0]
-
-        for i, (cls, sp, r1, r2, rd, rs, slot) in enumerate(
-            zip(classes, sps, src1s, src2s, dests, rob_col, iq_col)
-        ):
-            if i == next_pre:
-                if i == boundary:
-                    cycles_base = last_commit
-                    self._reset_measurement_state(fused)
-                    boundary = -1
-                if i == next_ia:
-                    # ---- I-cache access point (precomputed line change) ---
-                    line = ia_lines[ia_cursor]
-                    ia_cursor += 1
-                    next_ia = ia_indices[ia_cursor]
-                    i_clock += 1
-                    index = i_res.get(line)
-                    if index is not None:
-                        i_last[index] = i_clock
-                    else:
-                        i_cnt[2] += 1  # hits/accesses reconstructed at end
-                        i_clk[0] = i_clock
-                        dyn += i_miss(line, False) - l1i_lat
-                        i_clock = i_clk[0]
-                next_pre = next_ia if boundary < 0 or next_ia < boundary else boundary
-
-            disp = dyn + sp
-
-            # ---- dispatch: ROB and issue queues ---------------------------
-            freed = rob_ring[rs] + 1
-            if freed > disp:
-                disp = freed
-            if cls == 2 or cls == 3:  # FP_ALU / FP_MUL
-                t = fp_iq[slot]
-                if t > disp:
-                    disp = t
-                ready = disp
-                t = reg_ready[r1]
-                if t > ready:
-                    ready = t
-                t = reg_ready[r2]
-                if t > ready:
-                    ready = t
-                units = fp_alu if cls == 2 else fp_mul
-                t = units[0]
-                start = ready if ready > t else t
-                t = ports[0]
-                if t > start:
-                    start = t
-                issued = start + 1
-                units[0] = issued  # fully pipelined units
-                heap_replace(ports, issued)
-                fp_iq[slot] = issued  # IQ entry frees at issue
-            else:
-                t = int_iq[slot]
-                if t > disp:
-                    disp = t
-                ready = disp
-                t = reg_ready[r1]
-                if t > ready:
-                    ready = t
-                t = reg_ready[r2]
-                if t > ready:
-                    ready = t
-                units = int_mul if cls == 1 else int_alu
-                t = units[0]
-                start = ready if ready > t else t
-                t = ports[0]
-                if t > start:
-                    start = t
-                issued = start + 1
-                heap_replace(units, issued)  # fully pipelined units
-                heap_replace(ports, issued)
-                int_iq[slot] = issued  # IQ entry frees at issue
-
-            # ---- execute / complete (inline residency probes) -------------
-            if cls == 4:  # LOAD
-                block = mem_addrs[i] >> d_shift
-                d_clock += 1
-                index = d_res.get(block)
-                if index is not None:
-                    d_last[index] = d_clock
-                    comp = start + l1d_lat
-                else:
-                    d_cnt[2] += 1  # hits/accesses reconstructed at end
-                    d_clk[0] = d_clock
-                    comp = start + d_miss(block, False)
-                    d_clock = d_clk[0]
-            elif cls == 5:  # STORE
-                block = mem_addrs[i] >> d_shift
-                d_clock += 1
-                index = d_res.get(block)
-                if index is not None:
-                    d_last[index] = d_clock
-                    d_dirty[index] = True
-                else:
-                    d_cnt[2] += 1
-                    d_clk[0] = d_clock
-                    d_miss(block, True)
-                    d_clock = d_clk[0]
-                comp = start + 1  # retires via the store buffer
-            else:
-                comp = start + exec_lat[cls]
-
-            reg_ready[rd] = comp  # destination-less writes hit the sink slot
-
-            # ---- commit: in-order, bounded width --------------------------
-            if comp > last_commit:
-                last_commit = comp
-                commit_slots = 1
-            elif commit_slots >= commit_width:
-                last_commit += 1
-                commit_slots = 1
-            else:
-                commit_slots += 1
-            rob_ring[rs] = last_commit
-
-            # ---- misprediction redirects (precomputed points) -------------
-            if i == next_rd:
-                rd_cursor += 1
-                next_rd = rd_indices[rd_cursor]
-                rebased = comp + 1 + frontend_delay - rd_static_next[rd_cursor - 1]
-                if rebased > dyn:
-                    dyn = rebased
-
-        # Reconstruct the counters the hot paths skipped: accesses are
-        # trace-static (from the schedule) and hits = accesses - misses.
-        i_clk[0] = i_clock
-        d_clk[0] = d_clock
-        i_cnt[0] = schedule.iaccess_measured
-        i_cnt[1] = i_cnt[0] - i_cnt[2]
-        d_cnt[0] = schedule.daccess_measured
-        d_cnt[1] = d_cnt[0] - d_cnt[2]
-        fused.sync()
-        schedule.install(self.gshare, self.ras, self.line_predictor)
-        return SimResult(
-            benchmark=trace.name,
-            instructions=n - measure_from,
-            cycles=last_commit - cycles_base,
-            branch_mispredictions=schedule.gshare_mispredictions
-            + schedule.ras_mispredictions,
-            branch_predictions=schedule.gshare_predictions + schedule.ras_pops,
             hierarchy_stats=hier.stats().snapshot(),
         )
 
@@ -784,20 +430,22 @@ class OutOfOrderPipeline:
         their *configurations* differ (mixed schemes, mixed fault maps,
         the fault-free normalisation baseline): lane state is fully
         per-lane; only the structure the key captures must agree.  The
-        key requires a fresh fused pipeline (the schedule replays
-        predictors from their pristine construction state), a positive
-        front-end depth (occupancy guards are dropped exactly as in the
-        scalar fast loop), no prefetchers (they hook demand hits, which
-        the lane kernel does not model), and folds in the shared
+        key requires a fresh pipeline (the schedule replays predictors
+        from their pristine construction state), a positive front-end
+        depth (the kernel drops the reference loop's ring-occupancy
+        guards, which relies on dispatch cycles being >= 1), no
+        prefetchers (they hook demand hits, which the lane kernel does
+        not model), and folds in the shared
         pipeline config, the latency set, the per-level geometries, and
         the bulk engine's own coverage signature (LRU replacement,
         fully-enabled L2 — see
         :func:`repro.cache.engine.bulk_signature`; victim *sizings* may
         differ per lane, padded by the vector engine).  The mega-batch
-        planner groups campaign work items by this key.
+        planner groups campaign work items by this key, and :meth:`run`
+        takes a one-lane kernel pass whenever it is not ``None``.
         """
         h = self.hierarchy
-        if self.engine != "fused" or self._runs != 0:
+        if self._runs != 0:
             return None
         if self.config.frontend_stages + h.latencies.l1i < 1:
             return None
@@ -844,18 +492,17 @@ class OutOfOrderPipeline:
         Lanes need not share a *configuration*: any pipelines with equal
         non-``None`` :meth:`batch_key` signatures batch together (mixed
         schemes, mixed victim contents *and sizings* — 0/8/16-entry
-        lanes pad to one slot axis — fault-free baselines).  Batches
-        the kernel cannot take — mixed latencies/geometries,
-        prefetchers, non-LRU policies, reused pipelines, a single lane,
-        or no compiled kernel at all — run each lane through
+        lanes pad to one slot axis — fault-free baselines); a single
+        lane is a one-lane pass.  Batches the kernel cannot take — mixed
+        latencies/geometries, prefetchers, non-LRU policies, reused
+        pipelines, or no compiled kernel at all — run each lane through
         :meth:`run` instead.
         """
         pipelines = list(pipelines)
         if not pipelines:
             return []
         if (
-            len(pipelines) < 2
-            or len(trace) == 0
+            len(trace) == 0
             or not OutOfOrderPipeline._can_run_batch(pipelines)
             or lane_kernel.load() is None
         ):
@@ -882,11 +529,11 @@ class OutOfOrderPipeline:
         (dispatch, ready, issue, completion all stay multiples of W), and
         commit state per lane is ``v = last_commit * W + commit_slots``.
         The three-way commit branch then collapses to ``v' = max(v,
-        comp_scaled) + 1`` — algebraically identical to the scalar rule
+        comp_scaled) + 1`` — algebraically identical to the reference rule
         for ``slots`` in ``1..W`` — and the ROB ring stores the scaled
         dispatch bound ``(last_commit + 1) * W`` directly.  FU pools and
         issue ports are earliest-free multisets updated by argmin-replace
-        (multiset-equivalent to the scalar loop's heapreplace).  Cache
+        (the reference loop's first-minimum scan).  Cache
         recency uses the bulk engine's trace-static stamps (see
         :mod:`repro.cache.engine`), so no per-lane clocks are maintained.
         """
@@ -906,7 +553,7 @@ class OutOfOrderPipeline:
         frontend_delay = cfg.frontend_stages + hier0.latencies.l1i
         schedule = frontend_schedule(trace, cfg, i_geom.offset_bits, measure_from)
 
-        # Per-trace columns are converted once and memoised on the trace.
+        # Per-trace columns are built once and memoised on the trace.
         key = (
             cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries,
             d_geom.offset_bits,
@@ -929,9 +576,10 @@ class OutOfOrderPipeline:
                 cols,
             )
         )
-        # Sparse per-schedule columns are small (one entry per I-access /
-        # redirect); converting per call keeps the memo simple.
-        arrays["P_SPS"] = i64(schedule.static_fetch_list)
+        # The static-fetch column is the schedule's own int64 array (no
+        # copy); the sparse columns are small (one entry per I-access /
+        # redirect), so converting them per call keeps the memo simple.
+        arrays["P_SPS"] = i64(schedule.static_fetch)
         arrays["P_IAIDX"] = i64(schedule.iaccess_index)
         arrays["P_IALINES"] = i64(schedule.iaccess_line)
         arrays["P_RDIDX"] = i64(schedule.redirect_index)

@@ -11,7 +11,7 @@ from repro.campaign.executors import PoolExecutor, run_batch_locally
 from repro.campaign.plan import Planner
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu import lane_kernel
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -109,21 +109,20 @@ class TestPredictedPasses:
         points = len(CONFIGS) * len(SETTINGS.benchmarks)
         assert plan.predicted_passes < points
 
-    def test_prediction_matches_execution_per_point(self, session, monkeypatch):
+    def test_prediction_matches_execution_per_point(
+        self, session, monkeypatch, lane_passes
+    ):
         """Configurations without a batch signature plan into the
-        sequential group: one pass per point predicted and spent, no
-        vectorised pass, results bit-identical to ``simulate``."""
+        sequential group: one pass per point predicted and spent — each
+        point's ``run()`` is a one-lane kernel pass when the kernel is
+        loaded — and results bit-identical to the reference loop."""
         configs = (LV_BASELINE, LV_BLOCK)
-        expected = {
-            (c, m): Session(SETTINGS).simulate("gzip", c, m)
-            for c, m in ((LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1))
-        }
+        points = ((LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1))
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NO_CKERNEL", "1")
+            reference = Session(SETTINGS)
+            expected = {(c, m): reference.simulate("gzip", c, m) for c, m in points}
         monkeypatch.setattr(Session, "batch_signature", lambda self, config: None)
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("vectorised pass for an unsignable group")
-
-        monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
         plan = resolve(session, configs)
         (group,) = plan.groups
         assert not group.merged and group.signature is None
@@ -131,23 +130,22 @@ class TestPredictedPasses:
         results = session.execute_group(group)
         assert {(i.config, i.map_index): r for i, r in results} == expected
         assert session.schedule_passes == plan.predicted_passes
+        if lane_kernel.load() is not None:
+            assert lane_passes == [1, 1, 1]
 
-    def test_prediction_with_explicit_single_lane(self, monkeypatch):
+    def test_prediction_with_explicit_single_lane(self, lane_passes):
         """A one-map campaign of one configuration plans a one-lane
-        mega-batch: ``run_batch`` runs it sequentially, the one predicted
-        pass."""
+        mega-batch: ``run_batch`` runs it as exactly one one-lane
+        ``_run_lanes`` pass, the one predicted pass."""
         session = Session(dataclasses.replace(SETTINGS, n_fault_maps=1))
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("vectorised pass for a single lane")
-
-        monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
         plan = resolve(session, (LV_BLOCK,))
         assert [(len(g), g.merged) for g in plan.groups] == [(1, True)]
         assert plan.predicted_passes == 1
         for group in plan.groups:
             session.execute_group(group)
         assert session.schedule_passes == plan.predicted_passes
+        if lane_kernel.load() is not None:
+            assert lane_passes == [1]
 
     def test_padded_victim_merge_prediction_matches_execution(self, session):
         """Regression: a mixed 0/8/16-entry victim campaign merges into

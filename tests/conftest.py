@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cpu import lane_kernel
+from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.faults import PAPER_L1_GEOMETRY, CacheGeometry, FaultMap
 
 
@@ -35,3 +37,33 @@ def paper_fault_map(paper_geometry: CacheGeometry) -> FaultMap:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(99)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """Every call into the compiled lane kernel during the test (stays
+    empty on a host without the kernel)."""
+    real = lane_kernel.load()
+    calls: list = []
+    if real is not None:
+
+        def counting(ctx_ptr):
+            calls.append(ctx_ptr)
+            return real(ctx_ptr)
+
+        monkeypatch.setattr(lane_kernel, "_cached_fn", counting)
+    return calls
+
+
+@pytest.fixture
+def lane_passes(monkeypatch) -> list:
+    """The lane count of every ``_run_lanes`` pass during the test."""
+    real = OutOfOrderPipeline._run_lanes
+    passes: list = []
+
+    def counting(pipelines, trace, measure_from):
+        passes.append(len(pipelines))
+        return real(pipelines, trace, measure_from)
+
+    monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(counting))
+    return passes

@@ -1,7 +1,8 @@
 """Lane-batched execution: equivalence, fallbacks, and state write-back.
 
-The batched engine's contract is bit-identity with N sequential fused
-runs — cycles, every statistic, and the hierarchy state left behind.
+The batched engine's contract is bit-identity with N sequential runs of
+the reference loop — cycles, every statistic, and the hierarchy state
+left behind.
 These tests drive heterogeneous lane mixes (different fault maps,
 different victim sizings), the warmup boundary, the eligibility
 fallbacks, and post-batch warm reuse.
@@ -39,9 +40,10 @@ def session() -> Session:
 
 
 def _sequential(session, config, indices, benchmark="gzip"):
+    """The oracle: one reference-loop run per lane."""
     trace = session.trace(benchmark)
     return [
-        session.build_pipeline(config, m).run(trace, measure_from=WARMUP)
+        session.build_pipeline(config, m)._run_reference(trace, measure_from=WARMUP)
         for m in indices
     ]
 
@@ -63,9 +65,9 @@ def test_lanes_match_sequential_runs(session, config):
 
 
 def test_single_lane_forced_through_vector_path(session):
-    """A singleton driven straight through the vectorised loop (which
-    ``run_batch`` never does: one lane runs sequentially) still matches
-    its sequential run."""
+    """A singleton driven straight through the vectorised pass (what
+    ``run()`` and a one-lane ``run_batch`` take) matches the reference
+    loop."""
     expected = _sequential(session, LV_BLOCK, [2])
     trace = session.trace("gzip")
     pipelines = [session.build_pipeline(LV_BLOCK, 2)]
@@ -131,7 +133,7 @@ def test_fault_disabled_l2_falls_back(session):
     pipelines = [build(), build()]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == build().run(trace, measure_from=WARMUP)
+    assert results[0] == build()._run_reference(trace, measure_from=WARMUP)
     assert results[0] == results[1]
 
 
@@ -152,7 +154,7 @@ def test_measure_from_zero_and_validation(session):
     pipelines = [session.build_pipeline(LV_BLOCK, m) for m in range(2)]
     cold = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     expected = [
-        session.build_pipeline(LV_BLOCK, m).run(trace, measure_from=0)
+        session.build_pipeline(LV_BLOCK, m)._run_reference(trace, measure_from=0)
         for m in range(2)
     ]
     assert cold == expected
@@ -216,7 +218,7 @@ def test_partially_warm_victim_cache_appends_before_evicting(session):
     for m in range(2):
         p = session.build_pipeline(LV_BLOCK_V10, m)
         prefill(p)
-        expected.append(p.run(trace, measure_from=WARMUP))
+        expected.append(p._run_reference(trace, measure_from=WARMUP))
     pipelines = [session.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
     for p in pipelines:
         prefill(p)
@@ -229,14 +231,17 @@ def test_partially_warm_victim_cache_appends_before_evicting(session):
 
 def test_batched_state_supports_warm_reuse(session):
     """After a batched run, each lane's hierarchy must behave exactly as
-    if it had been run sequentially: a second (warm, generic-loop) run
-    over the same hierarchies stays bit-identical."""
+    if it had been run on the reference loop: a second (warm,
+    reference-loop) run over the same hierarchies stays bit-identical."""
     trace = session.trace("gzip")
     reference = []
     for m in range(2):
         p = session.build_pipeline(LV_BLOCK_V6, m)
         reference.append(
-            (p.run(trace, measure_from=WARMUP), p.run(trace, measure_from=WARMUP))
+            (
+                p._run_reference(trace, measure_from=WARMUP),
+                p._run_reference(trace, measure_from=WARMUP),
+            )
         )
     pipelines = [session.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
     first = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)

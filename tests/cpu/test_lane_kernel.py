@@ -1,12 +1,13 @@
 """The compiled lane kernel: gating, caching, its ctx ABI, one call per
-pass, and bit-identity with sequential runs.
+pass, ``run()`` routing, and bit-identity with the reference loop.
 
 The kernel is an optional accelerator — ``REPRO_NO_CKERNEL=1``, a
 missing compiler, or a failed build must all leave behaviour unchanged:
-``run_batch`` then runs every lane through ``run()``.  These tests pin
-the load gates, the ctx layout the Python side hands the kernel, and,
-when a kernel is available, drive batches through it and require
-results identical to sequential runs (cycles and every statistic).
+``run()`` then takes the reference loop and ``run_batch`` runs every
+lane through it.  These tests pin the load gates, the ctx layout the
+Python side hands the kernel, which runs ``run()`` sends through it,
+and, when a kernel is available, drive batches through it and require
+results identical to the reference loop (cycles and every statistic).
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def _run_batch(session, config, indices, benchmark="gzip"):
 
 
 def _run_sequential(session, config, indices, benchmark="gzip"):
+    """The oracle: one reference-loop run per lane."""
     trace = session.trace(benchmark)
     pipelines = [session.build_pipeline(config, m) for m in indices]
-    results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+    results = [p._run_reference(trace, measure_from=WARMUP) for p in pipelines]
     return results, pipelines
 
 
@@ -117,8 +119,8 @@ class TestGating:
 
 @kernel_available
 class TestKernelVsFallback:
-    """The kernel pass against the sequential reference ``run()`` — the
-    path ``run_batch`` takes when no kernel is available."""
+    """The kernel pass against the reference loop — the path ``run()``
+    and ``run_batch`` take when no kernel is available."""
 
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL]
@@ -162,7 +164,8 @@ class TestKernelVsFallback:
             _hetero_pipelines(session), trace, measure_from=WARMUP
         )
         sequential = [
-            p.run(trace, measure_from=WARMUP) for p in _hetero_pipelines(session)
+            p._run_reference(trace, measure_from=WARMUP)
+            for p in _hetero_pipelines(session)
         ]
         assert with_kernel == sequential
 
@@ -171,25 +174,105 @@ class TestKernelVsFallback:
 class TestOneCallPerPass:
     @pytest.mark.parametrize("measure_from", [WARMUP, 0])
     def test_heterogeneous_batch_makes_one_kernel_call(
-        self, session, monkeypatch, measure_from
+        self, session, kernel_calls, measure_from
     ):
-        real = lane_kernel.load()
-        calls = []
-
-        def counting(ctx_ptr):
-            calls.append(ctx_ptr)
-            return real(ctx_ptr)
-
-        monkeypatch.setattr(lane_kernel, "_cached_fn", counting)
         trace = session.trace("gzip")
         results = OutOfOrderPipeline.run_batch(
             _hetero_pipelines(session), trace, measure_from=measure_from
         )
-        assert len(calls) == 1
+        assert len(kernel_calls) == 1
         assert results == [
-            p.run(trace, measure_from=measure_from)
+            p._run_reference(trace, measure_from=measure_from)
             for p in _hetero_pipelines(session)
         ]
+
+
+def _hierarchy(policy="lru", prefetch_degree=0, l2_enabled=None):
+    """A low-voltage Table III hierarchy with the knobs the kernel does
+    not take: a replacement policy, a prefetcher, a block-disabled L2."""
+    from repro.cache.hierarchy import MemoryHierarchy
+    from repro.cache.set_assoc import SetAssociativeCache
+    from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
+
+    return MemoryHierarchy(
+        SetAssociativeCache(L1_GEOMETRY, policy=policy, name="l1i", seed=1),
+        SetAssociativeCache(L1_GEOMETRY, policy=policy, name="l1d", seed=2),
+        SetAssociativeCache(
+            L2_GEOMETRY, enabled_ways=l2_enabled, policy=policy, name="l2", seed=3
+        ),
+        LOW_VOLTAGE.latencies(),
+        prefetch_degree=prefetch_degree,
+    )
+
+
+def _disabled_l2_matrix():
+    """About 42% of L2 blocks disabled, as in the ``abl-l2`` study."""
+    from repro.cpu.config import L2_GEOMETRY
+
+    rng = np.random.default_rng(5)
+    return rng.random((L2_GEOMETRY.num_sets, L2_GEOMETRY.ways)) > 0.42
+
+
+def _reused(session):
+    pipeline = session.build_pipeline(LV_BLOCK_V10, 0)
+    pipeline._run_reference(session.trace("gzip"), measure_from=WARMUP)
+    return pipeline
+
+
+#: Pipelines ``run()`` must keep on the reference loop.
+OFF_KERNEL = {
+    "prefetcher": lambda s: OutOfOrderPipeline(
+        s.pipeline_config, _hierarchy(prefetch_degree=1)
+    ),
+    "fifo": lambda s: OutOfOrderPipeline(s.pipeline_config, _hierarchy("fifo")),
+    "random": lambda s: OutOfOrderPipeline(s.pipeline_config, _hierarchy("random")),
+    "disabled-l2": lambda s: OutOfOrderPipeline(
+        s.pipeline_config, _hierarchy(l2_enabled=_disabled_l2_matrix())
+    ),
+    "reused": _reused,
+}
+
+
+@kernel_available
+class TestRunRouting:
+    """``run()`` is one kernel call wherever a one-lane pass applies and
+    the reference loop everywhere else, bit-identical either way."""
+
+    def test_eligible_run_makes_one_kernel_call(self, session, kernel_calls):
+        trace = session.trace("gzip")
+        expected = session.build_pipeline(LV_BLOCK_V10, 0)._run_reference(
+            trace, measure_from=WARMUP
+        )
+        pipeline = session.build_pipeline(LV_BLOCK_V10, 0)
+        assert pipeline.run(trace, measure_from=WARMUP) == expected
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("case", sorted(OFF_KERNEL))
+    def test_ineligible_run_takes_the_reference_loop(
+        self, session, monkeypatch, kernel_calls, case
+    ):
+        trace = session.trace("gzip")
+        build = OFF_KERNEL[case]
+        expected = build(session)._run_reference(trace, measure_from=WARMUP)
+        _forbid_lanes(monkeypatch)
+        pipeline = build(session)
+        assert pipeline.batch_key() is None
+        assert pipeline.run(trace, measure_from=WARMUP) == expected
+        assert not kernel_calls
+
+    def test_no_kernel_run_takes_the_reference_loop(
+        self, session, monkeypatch, kernel_calls
+    ):
+        trace = session.trace("gzip")
+        expected = session.build_pipeline(LV_BLOCK_V10, 0)._run_reference(
+            trace, measure_from=WARMUP
+        )
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        _forbid_lanes(monkeypatch)
+        pipeline = session.build_pipeline(LV_BLOCK_V10, 0)
+        assert pipeline.batch_key() is not None
+        assert pipeline.run(trace, measure_from=WARMUP) == expected
+        assert not kernel_calls
 
 
 @kernel_available

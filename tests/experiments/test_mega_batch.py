@@ -16,7 +16,7 @@ from repro.campaign.events import Progress
 from repro.campaign.executors import PoolExecutor
 from repro.campaign.session import Session
 from repro.campaign.spec import RunnerSettings
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu import lane_kernel
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -70,12 +70,14 @@ def session() -> Session:
 
 @pytest.fixture(scope="module")
 def reference() -> dict:
-    """Sequential per-point results for every item."""
-    sequential = Session(SETTINGS)
-    return {
-        (config.label, m): sequential.simulate("gzip", config, m)
-        for config, m in _all_items(SETTINGS, CONFIGS)
-    }
+    """Per-point results for every item on the reference loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_CKERNEL", "1")
+        sequential = Session(SETTINGS)
+        return {
+            (config.label, m): sequential.simulate("gzip", config, m)
+            for config, m in _all_items(SETTINGS, CONFIGS)
+        }
 
 
 class TestSignatures:
@@ -170,24 +172,19 @@ class TestGroupExecution:
         ]
         assert session.simulations_executed == 2  # the hole was a pure hit
 
-    def test_explicit_single_lane_stays_sequential(self, session, reference):
-        # Signature sub-batches of one lane each never enter the
-        # vectorised loop, and each costs one pass.
+    def test_explicit_single_lane_stays_sequential(
+        self, session, reference, lane_passes
+    ):
+        # Signature sub-batches of one lane each are one one-lane kernel
+        # pass apiece, and each costs one schedule pass.
         items = [(LV_BLOCK, 0), (LV_WORD, None), (LV_INCREMENTAL, 1)]
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("vectorised path used for a single lane")
-
-        original = OutOfOrderPipeline._run_lanes
-        OutOfOrderPipeline._run_lanes = staticmethod(boom)
-        try:
-            results = session.run_group("gzip", items)
-        finally:
-            OutOfOrderPipeline._run_lanes = original
+        results = session.run_group("gzip", items)
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
         assert session.schedule_passes == len(items)
+        if lane_kernel.load() is not None:
+            assert lane_passes == [1] * len(items)
 
     def test_duplicate_items_simulate_once(self, session):
         items = [(LV_BLOCK, 0), (LV_BLOCK, 0), (LV_BLOCK, 1)]

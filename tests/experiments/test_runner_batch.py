@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.campaign.session import Session
 from repro.campaign.spec import RunnerSettings
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu import lane_kernel
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 
 SETTINGS = RunnerSettings(
@@ -15,12 +15,15 @@ SETTINGS = RunnerSettings(
 )
 
 
-def test_batched_results_match_legacy_path():
-    per_map = Session(SETTINGS)
+def test_batched_results_match_legacy_path(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_CKERNEL", "1")  # the reference loop
+        per_map = Session(SETTINGS)
+        expected = [
+            per_map.simulate("gzip", LV_BLOCK, m)
+            for m in range(SETTINGS.n_fault_maps)
+        ]
     batched = Session(SETTINGS)
-    expected = [
-        per_map.simulate("gzip", LV_BLOCK, m) for m in range(SETTINGS.n_fault_maps)
-    ]
     assert batched.simulate_maps("gzip", LV_BLOCK) == expected
     # Everything was stored under the same keys the per-map path uses.
     for m in range(SETTINGS.n_fault_maps):
@@ -55,19 +58,16 @@ def test_subset_and_order_preserved():
     assert subset[2] == subset[0]
 
 
-def test_narrow_chunks_use_per_map_path(monkeypatch):
-    """A single pending map must not pay vectorisation overhead: the
-    batched engine's lane loop is never invoked."""
+def test_narrow_chunks_use_per_map_path(lane_passes):
+    """A single pending map is exactly one one-lane kernel pass (the
+    same pass a per-map ``simulate`` takes)."""
     session = Session(SETTINGS)
     session.simulate_maps("gzip", LV_BLOCK, [0, 1, 3, 4])
-
-    def boom(*args, **kwargs):  # pragma: no cover - guard
-        raise AssertionError("vectorised path used for a single lane")
-
-    monkeypatch.setattr(OutOfOrderPipeline, "_run_lanes", staticmethod(boom))
     results = session.simulate_maps("gzip", LV_BLOCK)
     assert len(results) == SETTINGS.n_fault_maps
     assert session.schedule_passes == 2
+    if lane_kernel.load() is not None:
+        assert lane_passes == [4, 1]
 
 
 def test_normalized_series_identical_across_paths():

@@ -1,18 +1,20 @@
 """Golden simulation scenarios: the bit-identity contract of the simulator.
 
 Each scenario builds a complete (pipeline config, memory hierarchy, trace,
-measured region) quadruple covering every behavioural corner the fused
-engine must reproduce exactly: all disabling schemes at both voltages,
+measured region) quadruple covering every behavioural corner the
+simulator must reproduce exactly: all disabling schemes at both voltages,
 victim caches of several sizes, prefetching, every replacement policy,
 fault-thinned and fully-disabled sets, and non-Table-II pipeline widths
 (which exercise the generic min-scan fallbacks).
 
 ``golden_sim.json`` locks the cycle counts, branch statistics, and full
-hierarchy stats these scenarios produced on the pre-engine object path.
-``test_golden_sim.py`` asserts that both the object path and the fused
-engine still reproduce them bit-for-bit.
+hierarchy stats these scenarios produced on the object path.
+``test_golden_sim.py`` asserts that both the pipeline's reference loop
+and ``run()`` (the compiled lane kernel wherever it applies) still
+reproduce them bit-for-bit.
 
-Regenerate (only when the simulator's bits change *on purpose*)::
+Regenerate from the reference loop (only when the simulator's bits
+change *on purpose*)::
 
     PYTHONPATH=src python tests/integration/golden_scenarios.py --regen
 """
@@ -271,11 +273,13 @@ def run_scenario(
     pipeline_config: PipelineConfig,
     hierarchy: MemoryHierarchy,
     trace: Trace,
-    engine: str | None = None,
+    reference: bool = False,
 ) -> SimResult:
-    """Simulate one scenario; ``engine=None`` uses the pipeline default."""
-    kwargs = {} if engine is None else {"engine": engine}
-    pipeline = OutOfOrderPipeline(pipeline_config, hierarchy, **kwargs)
+    """Simulate one scenario through ``run()``, or through the reference
+    loop when ``reference`` is set."""
+    pipeline = OutOfOrderPipeline(pipeline_config, hierarchy)
+    if reference:
+        return pipeline._run_reference(trace, measure_from=MEASURE_FROM)
     return pipeline.run(trace, measure_from=MEASURE_FROM)
 
 
@@ -290,12 +294,12 @@ def result_record(result: SimResult) -> dict:
     }
 
 
-def run_all(engine: str | None = None) -> dict[str, dict]:
+def run_all() -> dict[str, dict]:
     traces = _traces()
     records: dict[str, dict] = {}
     for name, pipeline_config, make_hierarchy, trace_name in scenarios():
         result = run_scenario(
-            pipeline_config, make_hierarchy(), traces[trace_name], engine=engine
+            pipeline_config, make_hierarchy(), traces[trace_name], reference=True
         )
         records[name] = result_record(result)
     return records
@@ -313,13 +317,8 @@ def main() -> None:
     parser.add_argument(
         "--regen", action="store_true", help="rewrite golden_sim.json"
     )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        help="engine to regenerate with (default: pipeline default)",
-    )
     args = parser.parse_args()
-    records = run_all(engine=args.engine)
+    records = run_all()
     if args.regen:
         with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1, sort_keys=True)

@@ -1,12 +1,13 @@
-"""Golden bit-identity suite: both engines vs the locked fixtures.
+"""Golden bit-identity suite: both execution paths vs the locked fixtures.
 
-``golden_sim.json`` was generated by the pre-engine object path (see
+``golden_sim.json`` was generated on the object path (see
 ``golden_scenarios.py``).  Every scenario — all disabling schemes at both
 voltages, victim caches, prefetching, all replacement policies, thinned and
 fully-disabled sets, non-Table-II widths — must reproduce its cycles,
-branch statistics, and full hierarchy statistics exactly, on the object
-path *and* on the fused engine.  Any divergence is a simulator-semantics
-change and fails CI (stats divergence, not timing).
+branch statistics, and full hierarchy statistics exactly, on the reference
+loop *and* through ``run()``, which takes the compiled lane kernel for
+every LRU scenario without a prefetcher.  Any divergence is a
+simulator-semantics change and fails CI (stats divergence, not timing).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from golden_scenarios import (
     run_scenario,
     scenarios,
 )
+from repro.cache.replacement import LRUPolicy
+from repro.cpu import lane_kernel
 
 _SCENARIOS = {name: (cfg, make, trace) for name, cfg, make, trace in scenarios()}
 
@@ -41,16 +44,32 @@ def test_fixture_covers_every_scenario(golden):
     assert set(golden) == set(_SCENARIOS)
 
 
-@pytest.mark.parametrize("engine", ["object", "fused"])
+def _lru_without_prefetcher(hierarchy) -> bool:
+    caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    return all(type(c._policy) is LRUPolicy for c in caches) and (
+        hierarchy.iport.prefetcher is None and hierarchy.dport.prefetcher is None
+    )
+
+
+#: ``object`` is the reference loop over the object hierarchy, ``run`` is
+#: ``run()`` (the lane kernel wherever it applies).
+@pytest.mark.parametrize("path", ["object", "run"])
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
-def test_golden_bit_identity(name, engine, golden, traces):
+def test_golden_bit_identity(name, path, golden, traces, kernel_calls):
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
+    hierarchy = make_hierarchy()
     result = run_scenario(
-        pipeline_config, make_hierarchy(), traces[trace_name], engine=engine
+        pipeline_config, hierarchy, traces[trace_name],
+        reference=path == "object",
     )
     assert result_record(result) == golden[name], (
-        f"{name} diverged on the {engine} engine"
+        f"{name} diverged on the {path} path"
     )
+    if path == "object":
+        assert not kernel_calls
+    elif lane_kernel.load() is not None:
+        # run() must take the kernel exactly where it applies.
+        assert len(kernel_calls) == int(_lru_without_prefetcher(hierarchy)), name
 
 
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
@@ -96,7 +115,7 @@ def test_mixed_bypass_batch_matches_sequential(traces):
     assert OutOfOrderPipeline._can_run_batch(pipelines)
     batched = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=MEASURE_FROM)
     for (label, make), result in zip(builders, batched):
-        expected = OutOfOrderPipeline(PAPER_PIPELINE, make()).run(
+        expected = OutOfOrderPipeline(PAPER_PIPELINE, make())._run_reference(
             trace, measure_from=MEASURE_FROM
         )
         assert result_record(result) == result_record(expected), label
@@ -106,18 +125,19 @@ def test_mixed_bypass_batch_matches_sequential(traces):
 
 
 def test_pipeline_reuse_stays_identical(traces):
-    """A pipeline reused across runs must behave like the object path:
-    the second run starts with trained predictors and warm caches (it
-    falls off the schedule-driven fast path onto the generic fused loop)."""
+    """A pipeline reused across runs must behave like the reference
+    loop: the second run starts with trained predictors and warm caches
+    (the first ``run()`` is a kernel pass, the second the reference
+    loop over the state that pass wrote back)."""
     name = "lv-baseline"
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
     trace = traces[trace_name]
 
     from repro.cpu.pipeline import OutOfOrderPipeline
 
-    obj = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="object")
-    fused = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="fused")
+    reference = OutOfOrderPipeline(pipeline_config, make_hierarchy())
+    pipeline = OutOfOrderPipeline(pipeline_config, make_hierarchy())
     for _ in range(2):
-        expected = obj.run(trace, measure_from=MEASURE_FROM)
-        got = fused.run(trace, measure_from=MEASURE_FROM)
+        expected = reference._run_reference(trace, measure_from=MEASURE_FROM)
+        got = pipeline.run(trace, measure_from=MEASURE_FROM)
         assert result_record(got) == result_record(expected)

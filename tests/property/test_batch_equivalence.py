@@ -1,28 +1,36 @@
-"""Property-based equivalence: batched runs vs per-lane sequential runs.
+"""Property-based equivalence: batched runs vs the reference loop.
 
 The lane-batched pass (the compiled lane kernel, or — without one — the
 sequential fallback inside ``run_batch``) promises bit-identity with N
-sequential fused runs on *any* trace, not just the generator's
-benchmark profiles.  Hypothesis drives randomly-structured traces —
-arbitrary class mixes, register patterns, branch shapes, and memory
-streams — through both paths over a lane mix drawn per example from the
-0/8/16-entry victim configurations, and asserts the results are equal,
-cycles and statistics alike.
+runs of the pipeline's reference loop on *any* trace and hierarchy, not
+just the generator's benchmark profiles and the Table III caches.
+Hypothesis drives randomly-structured traces — arbitrary class mixes,
+register patterns, branch shapes, and memory streams — through both
+paths, over 1 to 5 lanes drawn per example either from the 0/8/16-entry
+victim configurations or from drawn L1/L2 geometries, latencies, victim
+sizings and fault densities (from fault-free up to every set dead), and
+asserts the results are equal, cycles and statistics alike.  The
+reference loop is the only oracle: ``run()`` itself takes the kernel.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign.session import Session
 from repro.campaign.spec import RunnerSettings
+from repro.cpu.config import PAPER_PIPELINE
 from repro.cpu.isa import NO_REGISTER, InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
+from repro.faults.geometry import CacheGeometry
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -81,9 +89,70 @@ def random_trace(seed: int, n: int, aliased: bool = False) -> Trace:
 
 lane_items = st.lists(
     st.tuples(st.sampled_from(CONFIGS), st.integers(0, SETTINGS.n_fault_maps - 1)),
-    min_size=2,
+    min_size=1,
     max_size=5,
 )
+
+
+def _geometry(sets: int, ways: int, block_bytes: int) -> CacheGeometry:
+    return CacheGeometry(
+        size_bytes=sets * ways * block_bytes, ways=ways, block_bytes=block_bytes
+    )
+
+
+#: L1 shapes from one direct-mapped set up to 64 sets of 8 ways, with
+#: 16-128 byte blocks; L2 shapes small enough to evict within a trace.
+l1_geometries = st.builds(
+    _geometry,
+    st.sampled_from((1, 2, 4, 16, 64)),
+    st.sampled_from((1, 2, 4, 8)),
+    st.sampled_from((16, 32, 64, 128)),
+)
+l2_geometries = st.builds(
+    _geometry,
+    st.sampled_from((1, 4, 32, 256)),
+    st.sampled_from((1, 2, 8)),
+    st.just(64),
+)
+latency_configs = st.builds(
+    LatencyConfig,
+    l1i=st.integers(0, 5),
+    l1d=st.integers(0, 5),
+    victim=st.integers(0, 3),
+    l2=st.integers(0, 30),
+    memory=st.integers(0, 300),
+)
+#: Per lane: fault density, victim entries (both sides), fault-map seed.
+drawn_lanes = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),
+        st.sampled_from((0, 1, 4, 8)),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _enabled_ways(geometry: CacheGeometry, density: float, rng) -> np.ndarray:
+    """Each way fails with probability ``density``, and so does each
+    whole set: density 0 is fault-free, density 1 leaves no usable way."""
+    enabled = rng.random((geometry.num_sets, geometry.ways)) >= density
+    enabled[rng.random(geometry.num_sets) < density] = False
+    return enabled
+
+
+def drawn_pipeline(l1i, l1d, l2, latencies, density, victim_entries, seed):
+    rng = np.random.default_rng(seed)
+    hierarchy = MemoryHierarchy(
+        SetAssociativeCache(l1i, enabled_ways=_enabled_ways(l1i, density, rng), name="l1i"),
+        SetAssociativeCache(l1d, enabled_ways=_enabled_ways(l1d, density, rng), name="l1d"),
+        SetAssociativeCache(l2, name="l2"),
+        latencies,
+        victim_entries_i=victim_entries,
+        victim_entries_d=victim_entries,
+    )
+    return OutOfOrderPipeline(PAPER_PIPELINE, hierarchy)
 
 
 @given(
@@ -101,12 +170,39 @@ def test_batched_matches_sequential_on_random_traces(
     trace = random_trace(seed, n, aliased)
     measure_from = n - 1 if measure_last else 0
     sequential = [
-        SESSION.build_pipeline(config, m).run(trace, measure_from=measure_from)
+        SESSION.build_pipeline(config, m)._run_reference(trace, measure_from)
         for config, m in lanes
     ]
     pipelines = [SESSION.build_pipeline(config, m) for config, m in lanes]
     batched = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=measure_from)
     assert batched == sequential
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=1500),
+    l1i=l1_geometries,
+    l1d=l1_geometries,
+    l2=l2_geometries,
+    latencies=latency_configs,
+    lanes=drawn_lanes,
+    measure_last=st.booleans(),
+    aliased=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_reference_on_drawn_hierarchies(
+    seed, n, l1i, l1d, l2, latencies, lanes, measure_last, aliased
+):
+    trace = random_trace(seed, n, aliased)
+    measure_from = n - 1 if measure_last else 0
+    shape = (l1i, l1d, l2, latencies)
+    expected = [
+        drawn_pipeline(*shape, *lane)._run_reference(trace, measure_from)
+        for lane in lanes
+    ]
+    pipelines = [drawn_pipeline(*shape, *lane) for lane in lanes]
+    assert OutOfOrderPipeline._can_run_batch(pipelines)
+    assert OutOfOrderPipeline.run_batch(pipelines, trace, measure_from) == expected
 
 
 def test_aliased_stream_exercises_every_eviction():
