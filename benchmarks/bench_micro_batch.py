@@ -1,4 +1,4 @@
-"""Lane-batching microbenchmark: KIPS per lane width and the break-even.
+"""Lane-batching microbenchmark: KIPS per lane width.
 
 Measures the lane-batched campaign engine
 (:meth:`OutOfOrderPipeline.run_batch`) against the pipeline's reference
@@ -10,9 +10,7 @@ over ``--maps`` fault-map pairs, one reference-loop run per map (width
 * ``seconds`` — wall-clock for the whole point;
 * ``speedup`` — vs the reference loop (width 1).
 
-Per config the bench also reports ``break_even_lanes`` — the
-interpolated lane count where a batched pass first matches the
-reference loop's wall-clock — and ``one_lane``: one ``run()``, a
+Per config the bench also reports ``one_lane``: one ``run()``, a
 one-lane kernel pass, against one reference-loop run.  A ``hetero``
 section demonstrates that a ``--maps 2`` campaign over mixed victim
 sizings (0/8/16 entries) pads to one slot axis and merges into a
@@ -134,24 +132,6 @@ def _one_lane(session, config, trace, warmup, repeats) -> "dict | None":
     }
 
 
-def _break_even(widths, rows) -> "float | None":
-    """The interpolated lane count where batched speedup crosses 1.0
-    (``None`` when no measured width reaches it)."""
-    prev_w, prev_s = None, None
-    for width in widths:
-        speedup = rows[str(width)]["speedup"]
-        if width == 1 or speedup is None:
-            continue
-        if speedup >= 1.0:
-            if prev_s is None or prev_s >= 1.0:
-                return float(width)
-            # linear interpolation in (width, speedup) between samples
-            frac = (1.0 - prev_s) / (speedup - prev_s)
-            return round(prev_w + frac * (width - prev_w), 1)
-        prev_w, prev_s = width, speedup
-    return None
-
-
 def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
     the padded slot axis must merge all six lanes into ONE vectorised
@@ -259,7 +239,6 @@ def run_bench(args) -> dict:
                 "speedup": speedup,
                 "identical": identical,
             }
-        rows["break_even_lanes"] = _break_even(widths, rows)
         configs[config.label] = rows
         one = _one_lane(session, config, trace, warmup, repeats)
         if one is not None and not one["identical"]:
@@ -281,7 +260,6 @@ def run_bench(args) -> dict:
         "configs": configs,
         "one_lane": one_lane,
         "speedup_full_batch": configs[BENCH_CONFIGS[0].label][top]["speedup"],
-        "break_even_lanes": configs[BENCH_CONFIGS[0].label]["break_even_lanes"],
         "hetero": hetero,
         "divergences": divergences,
     }
@@ -299,16 +277,12 @@ def main(argv=None) -> int:
     for label, rows in summary["configs"].items():
         print(f"{label}:")
         for width, row in rows.items():
-            if width == "break_even_lanes":
-                continue
             ok = "yes" if row["identical"] else "DIVERGED"
             speed = f"{row['speedup']:.2f}x" if row["speedup"] else "  ref"
             print(
                 f"  lanes={width:>3}  {row['kips']:>9.1f} KIPS"
                 f"  {row['seconds']:>7.3f}s  {speed:>7}  ok={ok}"
             )
-        be = rows["break_even_lanes"]
-        print(f"  break-even: {be if be is not None else '> max measured'} lanes")
         one = summary["one_lane"][label]
         if one is not None:
             ok = "yes" if one["identical"] else "DIVERGED"

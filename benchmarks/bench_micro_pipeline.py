@@ -1,9 +1,10 @@
 """End-to-end KIPS microbenchmark: the canonical perf metric for the core.
 
 Measures simulated-instructions-per-second per scheme for one *campaign
-point* — configured-hierarchy construction plus a full pipeline run over a
-warm trace, exactly the unit of work a Monte-Carlo campaign repeats
-thousands of times — on both execution paths:
+point* — a full pipeline run over a warm trace, the unit of work a
+Monte-Carlo campaign repeats thousands of times — on both execution
+paths.  The configured hierarchy is built before the timer starts, so
+the reported KIPS exclude its construction:
 
 * ``run``       — ``OutOfOrderPipeline.run``: a one-lane pass of the
   compiled lane kernel wherever it applies (the default path);

@@ -16,6 +16,9 @@ a heterogeneous-victim campaign must merge into one planned pass, run
 it as exactly one kernel call, stay bit-identical with the reference
 loop ``REPRO_NO_CKERNEL=1`` falls back to, and the vectorised schedule
 compiler must match the reference replay.
+The ``perfbench-digests`` smoke gates figure drift: ``perfbench/run.py``
+must reproduce the committed output and result digests of its
+``fig8-wide`` and ``ablations`` workloads at the default seed.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write (no process of it may survive), resumed
@@ -160,6 +163,53 @@ def smoke_lane_batch(json_dir: str) -> list[str]:
         failures.append(f"bench_micro_batch exited {code}")
     if summary.get("divergences", 1) != 0:
         failures.append(f"lane-batch smoke diverged: {summary}")
+    return failures
+
+
+#: perfbench workloads whose committed digests gate figure drift.
+PERFBENCH_DIGEST_WORKLOADS = ("fig8-wide", "ablations")
+
+
+def smoke_perfbench_digests(json_dir: str) -> list[str]:
+    """Figure-drift gate: one ``perfbench/run.py --seconds 0`` run per
+    workload at the default seed must report ``"correct": true`` on its
+    final JSON line (printed output and every ``SimResult`` match the
+    committed digests).  The runner exits 0 on a digest mismatch, so the
+    verdict is read from that line, not from the exit status."""
+    failures = []
+    report = {}
+    for workload in PERFBENCH_DIGEST_WORKLOADS:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                os.path.join(ROOT, "perfbench", "run.py"),
+                "--workload",
+                workload,
+                "--seconds",
+                "0",
+            ],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+        lines = proc.stdout.strip().splitlines()
+        try:
+            verdict = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            verdict = {}
+        correct = verdict.get("correct") is True
+        report[workload] = {
+            "returncode": proc.returncode,
+            "correct": correct,
+            "attempted": verdict.get("attempted"),
+            "failed": verdict.get("failed"),
+        }
+        if not correct:
+            failures.append(
+                f"perfbench {workload} is not correct (exit {proc.returncode}):\n"
+                f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+            )
+    _write(json_dir, "perfbench-digests", report)
     return failures
 
 
@@ -1230,6 +1280,7 @@ SMOKES = {
     "kips": smoke_kips,
     "lane-batch": smoke_lane_batch,
     "kernel": smoke_kernel,
+    "perfbench-digests": smoke_perfbench_digests,
     "store": smoke_store,
     "mega-batch": smoke_mega_batch,
     "campaign": smoke_campaign,

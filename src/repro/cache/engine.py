@@ -8,10 +8,17 @@ reference loop drives it access by access.
 
 :class:`BulkLanes` compiles N structurally identical hierarchies — one
 per fault map — into lane-major arrays the compiled lane kernel
-(:mod:`repro.cpu.lane_kernel`) updates in place, then writes statistics
-and cache contents back to each object hierarchy
-(:meth:`BulkLanes.finalize`).  A single :meth:`OutOfOrderPipeline.run
-<repro.cpu.pipeline.OutOfOrderPipeline.run>` is a one-lane batch.
+(:mod:`repro.cpu.lane_kernel`) updates in place.  After the pass
+:meth:`BulkLanes.finalize` writes every lane's statistics to its object
+hierarchy, and leaves the cache contents *pending*: each object cache
+takes the pass's final clock and keeps a view of its lane (the
+:class:`VectorCache` and the lane index), from which it builds its flat
+lists only when something reads them — a warm rerun, a test inspecting
+tags.  A campaign
+reads only the statistics, so its caches never build the lists and the
+pass's arrays are freed with its hierarchies.  A single
+:meth:`OutOfOrderPipeline.run <repro.cpu.pipeline.OutOfOrderPipeline.run>`
+is a one-lane batch.
 
 Bit-identity with the object model is the contract: cycles,
 hit/miss/eviction/writeback counts, every LRU decision, and victim
@@ -76,7 +83,6 @@ class VectorCache:
         "dirty",
         "fillt",
         "orig_last",
-        "pristine",
     )
 
     def __init__(self, caches: list[SetAssociativeCache]) -> None:
@@ -95,21 +101,22 @@ class VectorCache:
         self.last = np.zeros((lanes, n), dtype=np.int64)
         self.dirty = np.zeros((lanes, n), dtype=np.bool_)
         self.fillt = np.zeros((lanes, n), dtype=np.int64)
-        # A pristine cache's flat state is all defaults (-1/0/False/0);
-        # skipping its list -> array conversion makes compiling a fresh
-        # campaign batch O(lanes), which matters for the 2MB L2 — and the
-        # flag lets sync() write back only the touched entries.
-        self.pristine = []
+        # A cache whose clock never moved still holds its construction
+        # defaults (-1/0/False/0), which the arrays start with: reading
+        # nothing from it keeps a fresh campaign batch O(lanes) and never
+        # builds its lists.
+        warm = False
         for lane, cache in enumerate(caches):
-            if not cache._resident and cache._clock == 0:
-                self.pristine.append(True)
+            if cache._clock == 0:
                 continue
-            self.pristine.append(False)
+            warm = True
             self.tags[lane] = cache._tags
             self.last[lane] = cache._last_touch
             self.dirty[lane] = cache._dirty
             self.fillt[lane] = cache._fill_time
-        self.orig_last = self.last.copy()
+        # Recency the pass leaves at still-invalid positions (all zero
+        # when every lane started fresh).
+        self.orig_last = self.last.copy() if warm else None
         # Stamp sentinels (see module comment).  A set with no usable way
         # in a lane is all ``BIG_STAMP`` there, which is how the kernel
         # recognises a fill bypass.
@@ -123,63 +130,30 @@ class VectorCache:
         return max(cache._clock for cache in self.caches)
 
     def sync(self, clock: int) -> None:
-        """Write every lane's contents back to its object cache.  Stamp
-        sentinels at still-invalid/disabled positions are replaced by the
-        original values (those ways were never touched)."""
-        n = self.n
-        ways = self.ways
-        tag_shift = self.tag_shift
-        valid = self.tags >= 0
-        sparse = n > 4096 and all(self.pristine)
-        if sparse:
-            # Large caches that started pristine (the usual 2MB L2 of a
-            # fresh campaign batch): every list entry outside the filled
-            # positions still holds its default, so write back only the
-            # valid entries instead of converting 32k-entry columns.
-            for lane, cache in enumerate(self.caches):
-                index = np.flatnonzero(valid[lane])
-                idx_list = index.tolist()
-                tag_vals = self.tags[lane, index]
-                blocks = (tag_vals << tag_shift) | (index // ways)
-                tags_list = cache._tags
-                last_list = cache._last_touch
-                fillt_list = cache._fill_time
-                dirty_list = cache._dirty
-                for j, tag, last, fillt, dirt in zip(
-                    idx_list,
-                    tag_vals.tolist(),
-                    self.last[lane, index].tolist(),
-                    self.fillt[lane, index].tolist(),
-                    self.dirty[lane, index].tolist(),
-                ):
-                    tags_list[j] = tag
-                    last_list[j] = last
-                    fillt_list[j] = fillt
-                    dirty_list[j] = dirt
-                cache._clock = clock
-                resident = cache._resident
-                resident.clear()
-                resident.update(zip(blocks.tolist(), idx_list))
-            return
-        merged = np.where(valid, self.last, self.orig_last)
-        # Whole-matrix conversions: one C-level tolist per array beats a
-        # per-lane conversion loop by a wide margin.
-        tags_rows = self.tags
-        tags_lists = tags_rows.tolist()
-        dirty_lists = self.dirty.tolist()
-        merged_lists = merged.tolist()
-        fillt_lists = self.fillt.tolist()
+        """Leave every lane's contents pending on its object cache, which
+        builds them (:meth:`lane_state`) only if its flat state is ever
+        read.  The caches are released so the pending views hold no
+        reference cycle: the arrays go as soon as the last cache does."""
         for lane, cache in enumerate(self.caches):
-            index = np.flatnonzero(valid[lane])
-            blocks = (tags_rows[lane, index] << tag_shift) | (index // ways)
-            cache.adopt_flat_state(
-                tags_lists[lane],
-                dirty_lists[lane],
-                merged_lists[lane],
-                fillt_lists[lane],
-                clock,
-                resident=dict(zip(blocks.tolist(), index.tolist())),
-            )
+            cache.adopt_lane(self, lane, clock)
+        self.caches = []
+
+    def lane_state(self, lane: int) -> dict:
+        """Lane ``lane``'s contents in the object cache's flat layout.
+        Stamp sentinels at still-invalid/disabled positions are replaced
+        by the original recency (those ways were never touched)."""
+        tags = self.tags[lane]
+        valid = tags >= 0
+        orig_last = 0 if self.orig_last is None else self.orig_last[lane]
+        index = np.flatnonzero(valid)
+        blocks = (tags[index] << self.tag_shift) | (index // self.ways)
+        return {
+            "_tags": tags.tolist(),
+            "_dirty": self.dirty[lane].tolist(),
+            "_last_touch": np.where(valid, self.last[lane], orig_last).tolist(),
+            "_fill_time": self.fillt[lane].tolist(),
+            "_resident": dict(zip(blocks.tolist(), index.tolist())),
+        }
 
 
 class VectorVictims:
@@ -328,9 +302,10 @@ class BulkLanes:
         self.counts = np.zeros((2, len(LANE_COUNTERS), lanes), dtype=np.int64)
 
     def finalize(self, measured_i_accesses: int, measured_d_accesses: int, clock: int) -> None:
-        """Turn the measured-region counters into every lane's statistics
-        and write statistics *and* cache contents back to the object
-        hierarchies."""
+        """Turn the measured-region counters into every lane's statistics,
+        written to the object hierarchies, and leave each cache's contents
+        pending on it (:meth:`VectorCache.sync`); victim caches, a few
+        entries each, are written back directly."""
         rows = [
             dict(zip(LANE_COUNTERS, port.tolist())) for port in self.counts
         ]

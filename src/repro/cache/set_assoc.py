@@ -13,20 +13,51 @@ hierarchy layer does the shifting once so the hot loop stays cheap.
 State is stored **flat**: ``_tags``/``_dirty``/``_last_touch``/
 ``_fill_time`` are single lists indexed ``set * ways + way``, and an
 invalid way holds the sentinel tag -1 (block-address tags are
-non-negative, so the sentinel can never alias a resident block).  The
-lane-batched engine (:mod:`repro.cache.engine`) copies this layout into
-its lane arrays and writes it back after a pass.  A way that is *disabled* also
-holds -1 forever: fills never select it, so lookups need no usable-way
-filtering at all.
+non-negative, so the sentinel can never alias a resident block).  A way
+that is *disabled* also holds -1 forever: fills never select it, so
+lookups need no usable-way filtering at all.
+
+The flat state (those lists, the ``_resident`` index and the per-set
+``_usable_ways``/``_fully_enabled`` tables) is built **lazily**, on the
+first read of any of them, by :meth:`SetAssociativeCache._materialise`:
+
+* a fresh cache builds its construction defaults, so building a
+  hierarchy costs O(1) however large its L2 is;
+* after a lane-kernel pass (:mod:`repro.cache.engine`) the cache holds a
+  *pending view* instead — its lane of the pass's arrays — and builds
+  the lists from that lane's final contents.
+
+A campaign reads only the statistics of a pass, which are written
+eagerly, so its caches never build a list.  Materialised state lives in
+plain instance attributes: ``__getattr__`` runs only while an attribute
+is missing, never once the lists exist.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.faults.geometry import CacheGeometry
+
+if TYPE_CHECKING:
+    from repro.cache.engine import VectorCache
+
+#: The lazily built flat state (see module docstring).
+_LAZY_STATE = frozenset(
+    (
+        "_tags",
+        "_dirty",
+        "_last_touch",
+        "_fill_time",
+        "_resident",
+        "_usable_ways",
+        "_fully_enabled",
+    )
+)
 
 
 class SetAssociativeCache:
@@ -59,57 +90,88 @@ class SetAssociativeCache:
         num_sets = geometry.num_sets
         ways = geometry.ways
 
-        if enabled_ways is None:
-            # The fully-enabled case (baseline, word-disable, every
-            # high-voltage cache, the L2) skips the matrix entirely.
-            self._enabled = None
-            all_ways = tuple(range(ways))
-            self._usable_ways: list[tuple[int, ...]] = [all_ways] * num_sets
-            self._fully_enabled: list[bool] = [True] * num_sets
-        else:
+        if enabled_ways is not None:
             enabled_ways = np.asarray(enabled_ways, dtype=bool)
             if enabled_ways.shape != (num_sets, ways):
                 raise ValueError(
                     f"enabled_ways shape {enabled_ways.shape} does not match "
                     f"({num_sets}, {ways})"
                 )
-            self._enabled = enabled_ways
-            # Usable way indices per set, precomputed once (hot path reads
-            # only; tuples are cheaper to iterate and can never be mutated
-            # by a scheme).
-            self._usable_ways = [
-                tuple(np.flatnonzero(enabled_ways[s]).tolist())
-                for s in range(num_sets)
-            ]
-            self._fully_enabled = [
-                len(usable) == ways for usable in self._usable_ways
-            ]
+        # ``None`` is the fully-enabled case (baseline, word-disable,
+        # every high-voltage cache, the L2).
+        self._enabled = enabled_ways
 
         if isinstance(policy, str):
             policy = make_policy(policy, seed=seed)
         self._policy = policy
 
-        # Flat per-way state (see module docstring); -1 tags mark both
-        # invalid and disabled ways, so the lookup probe needs no
-        # validity or usability scan.
-        n = num_sets * ways
-        self._tags: list[int] = [-1] * n
-        self._dirty: list[bool] = [False] * n
-        self._last_touch: list[int] = [0] * n
-        self._fill_time: list[int] = [0] * n
-        # Residency index: block address -> flat way index.  Kept exactly
-        # in sync with ``_tags`` by fill/invalidate/flush, it turns the
-        # hit probe into a single dict lookup (how fast software cache
-        # models index residency) without touching any decision the
-        # per-set state makes.
-        self._resident: dict[int, int] = {}
+        # The flat state is built on first read (see module docstring);
+        # until then a finished lane-kernel pass may leave its lane here.
+        self._pending: "tuple[VectorCache, int] | None" = None
         self._clock = 0
 
         self._ways = ways
         self._set_mask = num_sets - 1
-        self._index_shift = 0  # block address already excludes the offset
         # tag of a block address = block_addr >> index_bits
         self._tag_shift = geometry.index_bits
+
+    # ----- lazy flat state ------------------------------------------------------
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not an instance attribute yet: the
+        # first read of the lazy state builds all of it.
+        if name not in _LAZY_STATE:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._materialise()
+        return self.__dict__[name]
+
+    def _materialise(self) -> None:
+        """Build the flat state: construction defaults for a fresh cache,
+        or the final contents of the pending kernel lane."""
+        num_sets = self.geometry.num_sets
+        ways = self._ways
+        if self._enabled is None:
+            all_ways = tuple(range(ways))
+            usable: list[tuple[int, ...]] = [all_ways] * num_sets
+            fully_enabled = [True] * num_sets
+        else:
+            # Usable way indices per set (hot path reads only; tuples are
+            # cheaper to iterate and can never be mutated by a scheme).
+            usable = [tuple(np.flatnonzero(row).tolist()) for row in self._enabled]
+            fully_enabled = [len(u) == ways for u in usable]
+        state = self.__dict__
+        state["_usable_ways"] = usable
+        state["_fully_enabled"] = fully_enabled
+        pending = self._pending
+        if pending is None:
+            n = num_sets * ways
+            # -1 tags mark both invalid and disabled ways, so the lookup
+            # probe needs no validity or usability scan.
+            state["_tags"] = [-1] * n
+            state["_dirty"] = [False] * n
+            state["_last_touch"] = [0] * n
+            state["_fill_time"] = [0] * n
+            # Residency index: block address -> flat way index.  Kept
+            # exactly in sync with ``_tags`` by fill/invalidate/flush, it
+            # turns the hit probe into a single dict lookup without
+            # touching any decision the per-set state makes.
+            state["_resident"] = {}
+        else:
+            view, lane = pending
+            self._pending = None
+            state.update(view.lane_state(lane))
+
+    def adopt_lane(self, view: "VectorCache", lane: int, clock: int) -> None:
+        """Take lane ``lane`` of a finished lane-kernel pass as this cache's
+        contents, pending until the flat state is next read (the lane
+        engine's write-back path)."""
+        state = self.__dict__
+        for name in _LAZY_STATE:
+            state.pop(name, None)
+        self._pending = (view, lane)
+        self._clock = clock
 
     # ----- capacity/introspection --------------------------------------------------
 
@@ -226,50 +288,8 @@ class SetAssociativeCache:
         return block_addr in self._resident
 
     def flush(self) -> None:
-        """Invalidate everything (keeps stats).  Mutates the state lists and
-        residency dict in place — a compiled engine holding references
-        stays coherent."""
+        """Invalidate everything (keeps stats)."""
         n = len(self._tags)
         self._tags[:] = [-1] * n
         self._dirty[:] = [False] * n
         self._resident.clear()
-
-    def adopt_flat_state(
-        self,
-        tags: list[int],
-        dirty: list[bool],
-        last_touch: list[int],
-        fill_time: list[int],
-        clock: int,
-        resident: dict[int, int] | None = None,
-    ) -> None:
-        """Replace this cache's contents with externally-evolved flat state
-        (the lane-batched engine's write-back path).  The lists are copied
-        in place so compiled engines holding references stay coherent, and
-        the residency index is rebuilt from the adopted tags — or adopted
-        from ``resident`` when the caller already derived it (the lane
-        engine computes it vectorised)."""
-        n = len(self._tags)
-        if len(tags) != n:
-            raise ValueError(f"flat state has {len(tags)} ways, expected {n}")
-        self._tags[:] = tags
-        self._dirty[:] = dirty
-        self._last_touch[:] = last_touch
-        self._fill_time[:] = fill_time
-        self._clock = clock
-        if resident is None:
-            self.rebuild_residency()
-        else:
-            self._resident.clear()
-            self._resident.update(resident)
-
-    def rebuild_residency(self) -> None:
-        """Recompute the block -> flat-way index from ``_tags`` (invalid
-        and disabled ways hold -1 and are skipped)."""
-        resident = self._resident
-        resident.clear()
-        tag_shift = self._tag_shift
-        ways = self._ways
-        for index, tag in enumerate(self._tags):
-            if tag >= 0:
-                resident[(tag << tag_shift) | (index // ways)] = index

@@ -43,6 +43,12 @@ reported statistic:
   it is the oracle the kernel is tested against
   (``tests/integration/test_golden_sim.py`` pins both to the same golden
   cycle counts and statistics).
+
+A kernel pass writes statistics to the object hierarchy at once, but
+leaves cache contents as a pending view of the pass's lane arrays
+(:mod:`repro.cache.engine`): a cache builds its flat lists only when they
+are next read, e.g. by a warm rerun on the reference loop, so campaign
+passes whose pipelines are dropped after the statistics never build them.
 """
 
 from __future__ import annotations
@@ -111,7 +117,8 @@ class OutOfOrderPipeline:
     and compulsory misses dominate.
 
     The object hierarchy is the source of truth between runs on either
-    execution path (see module docstring).
+    execution path; after a kernel pass its caches build their contents
+    from the pass on first read (see module docstring).
     """
 
     def __init__(self, config: PipelineConfig, hierarchy: MemoryHierarchy) -> None:
@@ -663,9 +670,9 @@ class OutOfOrderPipeline:
     ) -> list[SimResult]:
         """One lane-batched pass: a single call into the compiled lane
         kernel, which runs every lane over the whole trace; then the
-        statistics and cache contents are written back to each lane's
-        hierarchy.  Cycle counts are recovered as ``(v - 1) // W`` minus
-        the boundary snapshot."""
+        statistics are written back to each lane's hierarchy and its cache
+        contents left pending there.  Cycle counts are recovered as
+        ``(v - 1) // W`` minus the boundary snapshot."""
         n = len(trace)
         if not 0 <= measure_from < n:
             raise ValueError(

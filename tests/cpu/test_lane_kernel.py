@@ -75,6 +75,20 @@ def _hetero_pipelines(session):
     ]
 
 
+def _recency_order(cache) -> list[list[int]]:
+    """Per set, the valid ways from least to most recently touched.  The
+    kernel stamps and the reference loop's clocks differ in value, not
+    in order, so this is what both paths must agree on."""
+    ways = cache.geometry.ways
+    tags = cache._tags
+    last = cache._last_touch
+    order = []
+    for base in range(0, len(tags), ways):
+        valid = [w for w in range(ways) if tags[base + w] >= 0]
+        order.append(sorted(valid, key=lambda w: last[base + w]))
+    return order
+
+
 def _forbid_lanes(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("entered the lane-batched pass")
@@ -151,6 +165,7 @@ class TestKernelVsFallback:
                 assert a._tags == b._tags
                 assert a._dirty == b._dirty
                 assert a._resident == b._resident
+                assert _recency_order(a) == _recency_order(b)
             for side in ("victim_i", "victim_d"):
                 a = getattr(pk.hierarchy, side)
                 b = getattr(ps.hierarchy, side)
@@ -168,6 +183,70 @@ class TestKernelVsFallback:
             for p in _hetero_pipelines(session)
         ]
         assert with_kernel == sequential
+
+
+@kernel_available
+class TestLazyWriteback:
+    """A kernel pass leaves cache contents pending: only a read of a
+    cache's flat state builds it, from that cache's own lane."""
+
+    @pytest.fixture()
+    def materialised(self, monkeypatch) -> list:
+        """Every cache that builds its flat state during the test."""
+        from repro.cache.set_assoc import SetAssociativeCache
+
+        real = SetAssociativeCache._materialise
+        built: list = []
+
+        def counting(cache):
+            built.append(cache)
+            real(cache)
+
+        monkeypatch.setattr(SetAssociativeCache, "_materialise", counting)
+        return built
+
+    def test_campaign_group_builds_no_cache_state(
+        self, materialised, kernel_calls
+    ):
+        session = Session(SETTINGS)
+        session.trace("gzip")
+        items = [(LV_BLOCK_V10, m) for m in range(SETTINGS.n_fault_maps)]
+        results = session.run_group("gzip", items)
+        assert len(results) == SETTINGS.n_fault_maps >= 2
+        assert session.schedule_passes == 1
+        assert len(kernel_calls) == 1
+        assert materialised == []
+
+    def test_reverse_lane_reads_match_each_lane(self, session, materialised):
+        indices = range(SETTINGS.n_fault_maps)
+        _, with_kernel = _run_batch(session, LV_BLOCK_V10, indices)
+        _, sequential = _run_sequential(session, LV_BLOCK_V10, indices)
+        materialised.clear()
+        levels = ("l2", "l1d", "l1i")
+        for pk, ps in reversed(list(zip(with_kernel, sequential))):
+            for level in levels:
+                a = getattr(pk.hierarchy, level)
+                b = getattr(ps.hierarchy, level)
+                assert a._tags == b._tags
+                assert a._dirty == b._dirty
+                assert a._resident == b._resident
+                assert a._usable_ways == b._usable_ways
+                assert a._fully_enabled == b._fully_enabled
+                assert _recency_order(a) == _recency_order(b)
+                # Invalid ways keep the recency they started with, never
+                # a stamp sentinel.
+                invalid = [i for i, t in enumerate(a._tags) if t < 0]
+                assert [a._last_touch[i] for i in invalid] == [
+                    b._last_touch[i] for i in invalid
+                ]
+        assert len(materialised) == len(with_kernel) * len(levels)
+        # The lanes really differ, so a row from the wrong lane shows.
+        l1d_tags = [p.hierarchy.l1d._tags for p in with_kernel]
+        assert all(
+            l1d_tags[i] != l1d_tags[j]
+            for i in range(len(l1d_tags))
+            for j in range(i)
+        )
 
 
 @kernel_available
